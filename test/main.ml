@@ -23,6 +23,7 @@ let () =
       ("session", Test_session.suite);
       ("durable", Test_durable.suite);
       ("par", Test_par.suite);
+      ("digest", Test_digest.suite);
       ("health", Test_health.suite);
       ("trace", Test_trace.suite);
       ("integration", Test_visualinux.suite) ]
