@@ -6,7 +6,7 @@
 # rates), lints formatting, and does one full bench iteration so that a
 # broken build or a broken evaluation shape is caught mechanically.
 
-.PHONY: all test bench bench-smoke chaos-smoke perf-smoke par-smoke session-smoke campaign-smoke crash-smoke obs-smoke slo-smoke bench-compare fmt-check ci check clean
+.PHONY: all test bench bench-smoke chaos-smoke perf-smoke session-smoke campaign-smoke crash-smoke obs-smoke slo-smoke bench-compare fmt-check ci check clean
 
 all:
 	dune build @all
@@ -50,19 +50,6 @@ chaos-smoke: all
 perf-smoke: all
 	dune exec bench/main.exe -- --repeat-plot 5 --seed 7
 	@echo "perf-smoke: ok"
-
-# Parallel-extraction smoke (ISSUE 10): the Table 2 figures through a
-# 4-domain work-stealing pool vs. the 1-pool identity baseline, under
-# plain, split-chaos and injection scenarios.  The bench asserts the
-# gates in-process: renders, fault journals, chaos fired counts and
-# merged read counters byte-identical across domain counts, the classic
-# unsharded interpreter rendering identically, and the LPT schedule
-# model clearing 2x at 4 domains (the recorded target is 3x, see
-# EXPERIMENTS.md).  Writes BENCH_par.json, which bench-compare then
-# gates on.
-par-smoke: all
-	dune exec bench/main.exe -- --domains 4 --seed 7
-	@echo "par-smoke: ok"
 
 # Session smoke (ISSUE 6): the multi-session isolation bench.  The
 # bench asserts the gates in-process: one session storming at the
@@ -137,7 +124,7 @@ fmt-check:
 		echo "fmt-check: tabs or trailing whitespace found (see above)"; exit 1; \
 	else echo "fmt-check: clean"; fi
 
-ci: all test bench-smoke session-smoke campaign-smoke crash-smoke par-smoke bench-compare chaos-smoke perf-smoke obs-smoke slo-smoke fmt-check
+ci: all test bench-smoke session-smoke campaign-smoke crash-smoke bench-compare chaos-smoke perf-smoke obs-smoke slo-smoke fmt-check
 
 check: ci bench
 

@@ -1586,179 +1586,6 @@ let crash_bench ~file ~seed =
   assert (!identical = r && !torn_ok = r - 1)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel extraction (ISSUE 10): the Table 2 figures with wide
-   top-level forEach loops sharded over a work-stealing domain pool.
-   Identity is the contract: --domains N must produce byte-identical
-   canonical renders, an identical fault journal and identical merged
-   read counters to --domains 1 (the same lane structure executed
-   serially on the caller) — plain, under a split chaos storm, and
-   under Kmem fault injection alike.
-
-   The gated speedup is the deterministic LPT schedule model over the
-   per-lane busy times measured on the 1-pool baseline
-   (Dpool.model_speedup): it states how much of the plot wall-clock
-   the sharded lanes cover and how evenly they pack onto N domains,
-   and is reproducible on any host.  Wall-clock speedup is recorded
-   alongside but only meaningful when the machine actually has N
-   cores — this container has one. *)
-
-type par_run = {
-  prenders : string list;  (** canonical render per figure, in order *)
-  pjournal : string list;  (** merged fault journal, formatted *)
-  preads : int;  (** merged Target read counter *)
-  pbytes : int;
-  pfired : int;  (** chaos mutations fired (serial + per-lane) *)
-  pwall_ms : float;  (** total plot wall across the figure set *)
-  pbusy : float list;  (** per-lane busy times (1-pool: serial lane costs) *)
-  ptasks : int;  (** lane tasks executed by the pool *)
-  psteals : int;  (** tasks obtained by work stealing *)
-}
-
-let par_run ~pool_size ~seed ~chaos_rate ~inject () =
-  let kernel = Kstate.boot () in
-  let w = Workload.create kernel in
-  (* a wide workload, so the container loops clear the shard fan-out *)
-  Workload.run ~iters:40 w;
-  (* plot-ms is priced as in Table 4: local wall plus simulated wire
-     latency on the kgdb link.  Each lane runs over its own transport
-     fork, and reports that fork's wire time into its pool timing
-     (Dpool.charge), so serial and per-lane costs are in the same
-     unit. *)
-  let tr = Transport.create ~seed Target.kgdb_rpi400 in
-  let s = Visualinux.attach ~transport:tr kernel in
-  let tgt = s.Visualinux.target in
-  let pool = Viewcl.Dpool.create pool_size in
-  let c =
-    Option.map
-      (fun rate ->
-        let c = Workload.Chaos.create ~seed w ~rate in
-        Workload.Chaos.arm_split c tgt;
-        c)
-      chaos_rate
-  in
-  if inject then Kmem.inject_read_failures kernel.Kstate.ctx.Kcontext.mem ~seed 0.02;
-  let renders = ref [] and wall = ref 0. in
-  List.iter
-    (fun (sc : Scripts.script) ->
-      let t0 = Unix.gettimeofday () in
-      let sim0 = (Transport.snapshot tr).Transport.sim_ms in
-      (* an injected read can poison a pointer a C expression then
-         chokes on; the raise is deterministic, so it is part of the
-         identity contract: both runs must fail the same figure with
-         the same message *)
-      (match Viewcl.run ~cfg:s.Visualinux.cfg ~pool tgt sc.Scripts.source with
-      | res -> renders := canonical res.Viewcl.graph :: !renders
-      | exception Viewcl.Error e -> renders := ("ERROR: " ^ e) :: !renders);
-      (* lane wire time is absorbed into the base transport at merge,
-         so the snapshot delta prices the whole figure *)
-      let fms =
-        ((Unix.gettimeofday () -. t0) *. 1000.)
-        +. ((Transport.snapshot tr).Transport.sim_ms -. sim0)
-      in
-      wall := !wall +. fms;
-      if Sys.getenv_opt "PAR_DEBUG" <> None then begin
-        let fb = List.fold_left ( +. ) 0. (Viewcl.Dpool.timings pool) in
-        let cs = Target.cache_stats tgt in
-        let sn = Transport.snapshot tr in
-        Printf.printf
-          "  fig %-10s plot-ms %8.2f busy-cum %8.2f tasks-cum %3d wire-cum %6d \
-           hit-cum %6d miss-cum %5d coal-cum %5d\n"
-          sc.Scripts.fig fms fb (Viewcl.Dpool.executed pool) sn.Transport.reads_ok
-          cs.Target.hits cs.Target.misses cs.Target.coalesced
-      end)
-    Scripts.table2;
-  if c <> None then Workload.Chaos.disarm tgt;
-  if inject then Kmem.clear_injection kernel.Kstate.ctx.Kcontext.mem;
-  let st = Target.stats tgt in
-  let r =
-    { prenders = List.rev !renders;
-      pjournal = List.map Target.fault_to_string (Target.faults tgt);
-      preads = st.Target.reads; pbytes = st.Target.bytes;
-      pfired =
-        (match c with
-        | Some c -> Workload.Chaos.fired c + Workload.Chaos.split_fired c
-        | None -> 0);
-      pwall_ms = !wall; pbusy = Viewcl.Dpool.timings pool;
-      ptasks = Viewcl.Dpool.executed pool; psteals = Viewcl.Dpool.steals pool }
-  in
-  Viewcl.Dpool.shutdown pool;
-  r
-
-let par_bench ~domains ~seed =
-  section
-    (Printf.sprintf
-       "Parallel extraction: %d-domain pool vs the 1-pool identity baseline (seed %d)"
-       domains seed);
-  Printf.printf "%-12s %5s %8s %8s %6s %6s %7s | %8s %5s%% %8s %7s\n" "scenario" "figs"
-    "journal" "reads" "fired" "lanes" "steals" "wall-1" "lane" (Printf.sprintf "wall-%d" domains)
-    "model-x";
-  let model = ref 1. and wall1 = ref 0. and walln = ref 0. in
-  List.iter
-    (fun (name, chaos_rate, inject) ->
-      let r1 = par_run ~pool_size:1 ~seed ~chaos_rate ~inject () in
-      let rn = par_run ~pool_size:domains ~seed ~chaos_rate ~inject () in
-      (* the identity contract, per scenario *)
-      List.iteri
-        (fun i (a, b) ->
-          if a <> b then begin
-            Printf.printf "DIFF fig %d (%s):\n--- 1-pool ---\n%s\n--- %d-pool ---\n%s\n" i
-              name (String.sub a 0 (min 600 (String.length a))) domains
-              (String.sub b 0 (min 600 (String.length b)))
-          end)
-        (List.combine r1.prenders rn.prenders);
-      assert (r1.prenders = rn.prenders);
-      assert (r1.pjournal = rn.pjournal);
-      assert (r1.preads = rn.preads && r1.pbytes = rn.pbytes);
-      assert (r1.pfired = rn.pfired);
-      let m = Viewcl.Dpool.model_speedup ~domains ~serial_ms:r1.pwall_ms r1.pbusy in
-      let busy = List.fold_left ( +. ) 0. r1.pbusy in
-      Printf.printf "%-12s %5d %8d %8d %6d %6d %7d | %8.1f %5.0f%% %8.1f %7.2f\n" name
-        (List.length r1.prenders) (List.length r1.pjournal) r1.preads r1.pfired rn.ptasks
-        rn.psteals r1.pwall_ms
-        (100. *. busy /. Float.max 0.001 r1.pwall_ms)
-        rn.pwall_ms m;
-      if name = "plain" then begin
-        model := m;
-        wall1 := r1.pwall_ms;
-        walln := rn.pwall_ms;
-        (* the classic unsharded path must render identically too: pure
-           reads, so the sequential interpreter and the lane merge are
-           two routes to the same graph *)
-        let kernel = Kstate.boot () in
-        let w = Workload.create kernel in
-        Workload.run ~iters:40 w;
-        let s = Visualinux.attach kernel in
-        let seq =
-          List.map
-            (fun (sc : Scripts.script) ->
-              canonical
-                (Viewcl.run ~cfg:s.Visualinux.cfg s.Visualinux.target sc.Scripts.source)
-                  .Viewcl.graph)
-            Scripts.table2
-        in
-        assert (seq = r1.prenders)
-      end)
-    [ ("plain", None, false); ("chaos-storm", Some 0.3, false); ("inject", None, true) ];
-  let wall_speedup = !wall1 /. Float.max 0.001 !walln in
-  Printf.printf
-    "\nmodel speedup at %d domains: x%.2f   (wall x%.2f on this host; the model packs\n\
-     the measured lane busy times onto %d domains with LPT and applies Amdahl to the\n\
-     serial remainder — the portable number a 1-core CI box can still stand behind)\n"
-    domains !model wall_speedup domains;
-  Printf.printf "seq = 1-pool = %d-pool identity: renders, fault journals, counters ok\n"
-    domains;
-  if Obs.enabled () then begin
-    Obs.Metrics.set_gauge "par.domains" (float_of_int domains);
-    Obs.Metrics.set_gauge "par.speedup_4d" !model;
-    Obs.Metrics.set_gauge "par.wall_speedup" wall_speedup;
-    Obs.Metrics.set_gauge "par.serial_ms" !wall1;
-    Obs.Metrics.set_gauge "par.par_ms" !walln
-  end;
-  (* the par-smoke gate: at 4 domains the schedule model must clear 2x
-     (the ISSUE 10 floor; the recorded target is 3x, see EXPERIMENTS.md) *)
-  if domains >= 4 then assert (!model >= 2.0)
-
-(* ------------------------------------------------------------------ *)
 
 let bench_span name f = Obs.with_span ~cat:"bench" ("bench." ^ name) f
 
@@ -1802,38 +1629,28 @@ let () =
   let sessions_arg = get "--sessions" args in
   let campaign_arg = get "--campaign" args in
   let crash_arg = get "--crash" args in
-  let domains_arg = get "--domains" args in
   (* campaign mode gets the big ring too: flow-event export skips links
      whose endpoint spans were evicted, and the hedge-era spans must
      survive to the end of the timeline for the Perfetto arrows *)
   if
     campaign_arg <> None || crash_arg <> None
-    || (chaos_arg = None && fault_arg = None && repeat_arg = None && sessions_arg = None
-      && domains_arg = None)
+    || (chaos_arg = None && fault_arg = None && repeat_arg = None && sessions_arg = None)
   then Obs.set_ring_capacity (1 lsl 19);
   let mode =
-    match (domains_arg, crash_arg, campaign_arg, sessions_arg, chaos_arg, fault_arg, repeat_arg)
-    with
-    | Some ds, _, _, _, _, _, _ ->
-        let domains = max 1 (int_of_string ds) in
-        let seed =
-          Option.value (Option.map int_of_string (get "--seed" args)) ~default:0x9e3779b9
-        in
-        bench_span "par" (fun () -> par_bench ~domains ~seed);
-        "par"
-    | None, Some file, _, _, _, _, _ ->
+    match (crash_arg, campaign_arg, sessions_arg, chaos_arg, fault_arg, repeat_arg) with
+    | Some file, _, _, _, _, _ ->
         let seed =
           Option.value (Option.map int_of_string (get "--seed" args)) ~default:0x9e3779b9
         in
         bench_span "crash" (fun () -> crash_bench ~file ~seed);
         "crash"
-    | None, None, Some file, _, _, _, _ ->
+    | None, Some file, _, _, _, _ ->
         let seed =
           Option.value (Option.map int_of_string (get "--seed" args)) ~default:0x9e3779b9
         in
         bench_span "campaign" (fun () -> campaign_bench ~file ~seed);
         "campaign"
-    | None, None, None, Some ns, _, _, _ ->
+    | None, None, Some ns, _, _, _ ->
         let n = max 2 (int_of_string ns) in
         let rate =
           Option.value (Option.map float_of_string (get "--fault-rate" args)) ~default:0.2
@@ -1846,14 +1663,14 @@ let () =
         in
         bench_span "sessions" (fun () -> sessions_bench ~n ~rate ~rounds ~seed);
         "sessions"
-    | None, None, None, None, Some rs, _, _ ->
+    | None, None, None, Some rs, _, _ ->
         let rates = List.map float_of_string (String.split_on_char ',' rs) in
         let seed =
           Option.value (Option.map int_of_string (get "--seed" args)) ~default:0xC4405
         in
         bench_span "chaos" (fun () -> chaos ~rates ~seed);
         "chaos"
-    | None, None, None, None, None, Some rs, _ ->
+    | None, None, None, None, Some rs, _ ->
         let rates = List.map float_of_string (String.split_on_char ',' rs) in
         let profile =
           profile_of_name (Option.value (get "--profile" args) ~default:"kgdb_rpi400")
@@ -1865,14 +1682,14 @@ let () =
         bench_span "degradation" (fun () ->
             degradation ~rates ~profile ~deadline_ms ~seed);
         "smoke"
-    | None, None, None, None, None, None, Some it ->
+    | None, None, None, None, None, Some it ->
         let iters = max 1 (int_of_string it) in
         let seed =
           Option.value (Option.map int_of_string (get "--seed" args)) ~default:0x9e3779b9
         in
         bench_span "repeat" (fun () -> repeat_plot ~iters ~seed);
         "repeat"
-    | None, None, None, None, None, None, None ->
+    | None, None, None, None, None, None ->
         full_suite ();
         "full"
   in

@@ -20,10 +20,6 @@ type session = {
       (** per-pane plot caches: {!vrefresh} and {!refresh_stale} pass a
           pane's cache back to ViewCL so a re-plot re-extracts only the
           boxes whose pages were written since the last one *)
-  pool : Viewcl.Dpool.t option;
-      (** domain pool for parallel extraction, sized by
-          [VISUALINUX_DOMAINS] at attach; [None] below 2 domains, and
-          every extraction then takes the classic sequential path *)
 }
 
 (** The EMOJI decorator instances of Table 1: stateful-value glyphs. *)
@@ -69,13 +65,8 @@ let attach ?target_pid ?transport ?target kernel =
         | None -> ( match users with t :: _ -> Ktask.pid ctx t | [] -> 1))
   in
   Target.add_macro target "target_pid" pid;
-  let pool =
-    match Viewcl.Dpool.default_domains () with
-    | n when n >= 2 -> Some (Viewcl.Dpool.create n)
-    | _ -> None
-  in
   { kernel; target; panel = Panel.create (); cfg = config (); target_pid = pid;
-    caches = Hashtbl.create 8; pool }
+    caches = Hashtbl.create 8 }
 
 let set_target_pid s pid =
   s.target_pid <- pid;
@@ -115,7 +106,7 @@ let vplot s ?(title = "plot") src =
   let res =
     Obs.Trace.with_trace tid (fun () ->
         Obs.with_span ~cat:"core" ~attrs:[ ("title", title) ] "core.vplot" (fun () ->
-            Viewcl.run ~cfg:s.cfg ?pool:s.pool s.target src))
+            Viewcl.run ~cfg:s.cfg s.target src))
   in
   let wall_ms = Obs.Clock.elapsed_ms t0 in
   if Obs.enabled () then
@@ -158,7 +149,7 @@ let vctrl s cmd =
   | Apply { pane; viewql } -> Updated (Panel.refine s.panel ~at:pane viewql)
   | Split { pane; dir; program } ->
       Option.iter Transport.begin_plot (Target.transport s.target);
-      let res = Viewcl.run ~cfg:s.cfg ?pool:s.pool s.target program in
+      let res = Viewcl.run ~cfg:s.cfg s.target program in
       let p = Panel.split s.panel ~dir ~at:pane ~program res.Viewcl.graph in
       Hashtbl.replace s.caches p.Panel.pid res.Viewcl.cache;
       Opened p.Panel.pid
@@ -269,7 +260,7 @@ let extract_for ?cache ?(on_cache = fun _ -> ()) ?(on_fail = fun () -> ()) s pro
   | Some tr when Transport.link tr = Transport.Down -> None
   | tr_opt -> (
       Option.iter Transport.begin_plot tr_opt;
-      match Viewcl.run ~cfg:s.cfg ?cache ?pool:s.pool s.target program with
+      match Viewcl.run ~cfg:s.cfg ?cache s.target program with
       | res ->
           on_cache res.Viewcl.cache;
           Some res.Viewcl.graph
@@ -364,7 +355,7 @@ let vrefresh s ~pane =
                     match
                       Viewcl.run ~cfg:s.cfg
                         ?cache:(Hashtbl.find_opt s.caches pane)
-                        ?pool:s.pool s.target program
+                        s.target program
                     with
                     | res ->
                         Hashtbl.replace s.caches pane res.Viewcl.cache;

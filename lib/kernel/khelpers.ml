@@ -76,27 +76,13 @@ let attach (k : Kstate.t) =
   (* Helpers *)
   let add name f = Target.add_helper tgt name f in
 
-  (* Raw reads inside a helper must go through the *calling* target's
-     memory view, not the base kernel's: a parallel extraction lane
-     calls helpers through its Target fork, whose Kmem overlay carries
-     the lane's private fault-injection stream — reads on the shared
-     base would race its injection RNG across domains and break the
-     cross-domain identity contract.  A fork also gets a private field
-     offset memo, so concurrent misses never mutate the shared one.
-     On the base target this is [k.ctx] itself, unchanged. *)
-  let cx tgt =
-    if Target.is_fork tgt then
-      { k.ctx with mem = Target.mem tgt; off_cache = Hashtbl.create 16 }
-    else k.ctx
-  in
-
   add "cpu_rq" (fun tgt args ->
       let cpu = Target.as_int tgt (arg1 args) in
       if cpu < 0 || cpu >= k.ncpus then invalid_arg "cpu_rq: bad cpu";
       named_ptr "rq" (Kstate.rq_of k cpu));
   add "cpu_curr" (fun tgt args ->
       let cpu = Target.as_int tgt (arg1 args) in
-      named_ptr "task_struct" (r64 (cx tgt) (Kstate.rq_of k cpu) "rq" "curr"));
+      named_ptr "task_struct" (r64 k.ctx (Kstate.rq_of k cpu) "rq" "curr"));
   add "per_cpu_timer_base" (fun tgt args ->
       let cpu = Target.as_int tgt (arg1 args) in
       named_ptr "timer_base" k.timers.Ktimer.bases.(cpu));
@@ -114,7 +100,7 @@ let attach (k : Kstate.t) =
       Target.str_value (task_state_string st ex));
   add "task_of_pid" (fun tgt args ->
       let nr = Target.as_int tgt (arg1 args) in
-      match Kstate.find_task ~ctx:(cx tgt) k nr with
+      match Kstate.find_task k nr with
       | Some task -> named_ptr "task_struct" task
       | None -> Target.null_ptr);
   add "pid_task" (fun tgt args ->
@@ -122,7 +108,7 @@ let attach (k : Kstate.t) =
       let pid = arg1 args in
       let numbers = Target.member tgt pid "numbers" in
       let nr = Target.as_int tgt (Target.member tgt (Target.index tgt numbers 0) "nr") in
-      match Kstate.find_task ~ctx:(cx tgt) k nr with
+      match Kstate.find_task k nr with
       | Some task -> named_ptr "task_struct" task
       | None -> Target.null_ptr);
 
@@ -146,7 +132,7 @@ let attach (k : Kstate.t) =
   add "mas_walk" (fun tgt args ->
       match args with
       | [ mt; idx ] ->
-          let entry = Kmaple.walk (cx tgt) (obj_addr tgt mt) (Target.as_int tgt idx) in
+          let entry = Kmaple.walk k.ctx (obj_addr tgt mt) (Target.as_int tgt idx) in
           named_ptr "vm_area_struct" entry
       | _ -> invalid_arg "mas_walk(mt, index)");
 
@@ -159,9 +145,8 @@ let attach (k : Kstate.t) =
       let file = Target.as_int tgt (Target.member tgt vma "vm_file") in
       if file = 0 then Target.str_value "[anon]"
       else
-        let cx0 = cx tgt in
-        let d = r64 cx0 file "file" "f_path.dentry" in
-        Target.str_value (rstr cx0 d "dentry" "d_iname"));
+        let d = r64 k.ctx file "file" "f_path.dentry" in
+        Target.str_value (rstr k.ctx d "dentry" "d_iname"));
 
   add "page_to_pfn" (fun tgt args ->
       int_v (Kbuddy.page_to_pfn k.buddy (obj_addr tgt (arg1 args))));
@@ -172,7 +157,7 @@ let attach (k : Kstate.t) =
       int_v (Kbuddy.page_address k.buddy page));
   add "page_content" (fun tgt args ->
       let page = obj_addr tgt (arg1 args) in
-      Target.str_value (Kmem.read_cstring ~max:32 (Target.mem tgt) (Kbuddy.page_address k.buddy page)));
+      Target.str_value (Kmem.read_cstring ~max:32 k.ctx.mem (Kbuddy.page_address k.buddy page)));
 
   add "func_name" (fun tgt args ->
       let a = Target.as_int tgt (arg1 args) in
@@ -185,12 +170,12 @@ let attach (k : Kstate.t) =
       match args with
       | [ files; fd ] ->
           named_ptr "file"
-            (Kvfs.fd_file ~ctx:(cx tgt) k.vfs (Target.addr_of (Target.deref tgt files)) (Target.as_int tgt fd))
+            (Kvfs.fd_file k.vfs (Target.addr_of (Target.deref tgt files)) (Target.as_int tgt fd))
       | _ -> invalid_arg "fd_file(files, fd)");
   add "i_pipe_of" (fun tgt args ->
       let file = arg1 args in
       let ino = Target.as_int tgt (Target.member tgt file "f_inode") in
-      named_ptr "pipe_inode_info" (if ino = 0 then 0 else r64 (cx tgt) ino "inode" "i_pipe"));
+      named_ptr "pipe_inode_info" (if ino = 0 then 0 else r64 k.ctx ino "inode" "i_pipe"));
   add "sock_of_file" (fun tgt args ->
       let file = arg1 args in
       let priv = Target.as_int tgt (Target.member tgt file "private_data") in
@@ -218,17 +203,16 @@ let attach (k : Kstate.t) =
       let files = Target.as_int tgt (Target.member tgt task "files") in
       if files = 0 then Target.null_ptr
       else begin
-        let cx0 = cx tgt in
         let rec scan fd =
           if fd >= 16 then Target.null_ptr
           else
-            let f = Kvfs.fd_file ~ctx:cx0 k.vfs files fd in
+            let f = Kvfs.fd_file k.vfs files fd in
             if f = 0 then scan (fd + 1)
             else
-              let ino = r64 cx0 f "file" "f_inode" in
-              let mapping = r64 cx0 f "file" "f_mapping" in
-              let is_pipe = ino <> 0 && r64 cx0 ino "inode" "i_pipe" <> 0 in
-              let nrpages = if mapping = 0 then 0 else r64 cx0 mapping "address_space" "nrpages" in
+              let ino = r64 k.ctx f "file" "f_inode" in
+              let mapping = r64 k.ctx f "file" "f_mapping" in
+              let is_pipe = ino <> 0 && r64 k.ctx ino "inode" "i_pipe" <> 0 in
+              let nrpages = if mapping = 0 then 0 else r64 k.ctx mapping "address_space" "nrpages" in
               if (not is_pipe) && nrpages > 0 then named_ptr "file" f else scan (fd + 1)
         in
         scan 3

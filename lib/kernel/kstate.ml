@@ -134,13 +134,7 @@ let ma_free_rcu t node = Krcu.call_rcu t.rcu node "mt_free_rcu"
 let task_rq t task = rq_of t (r32 t.ctx task "task_struct" "cpu")
 
 (** Tasks on the global list (init included). *)
-(* [?ctx] lets debugger-side callers walk through their own memory view
-   (a parallel extraction lane's Kmem fork with its private injection
-   stream) instead of the kernel's base context. *)
-let all_tasks ?ctx t =
-  let cx = Option.value ctx ~default:t.ctx in
-  t.init_task :: Ktask.all_tasks cx ~tasks_head:t.tasks_head
+let all_tasks t = t.init_task :: Ktask.all_tasks t.ctx ~tasks_head:t.tasks_head
 
-let find_task ?ctx t pid =
-  let cx = Option.value ctx ~default:t.ctx in
-  List.find_opt (fun task -> Ktask.pid cx task = pid) (all_tasks ?ctx t)
+let find_task t pid =
+  List.find_opt (fun task -> Ktask.pid t.ctx task = pid) (all_tasks t)

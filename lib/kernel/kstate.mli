@@ -62,11 +62,8 @@ val ma_free_rcu : t -> addr -> unit
 val task_rq : t -> addr -> addr
 (** The runqueue of a task's CPU. *)
 
-val all_tasks : ?ctx:Kcontext.t -> t -> addr list
-(** Every task on the global list (init first).  [?ctx] walks the list
-    through the given context's memory instead of the kernel's own — a
-    parallel extraction lane passes its forked view so the reads draw
-    from the lane's private fault-injection stream. *)
+val all_tasks : t -> addr list
+(** Every task on the global list (init first). *)
 
-val find_task : ?ctx:Kcontext.t -> t -> int -> addr option
-(** Look a task up by pid number ([?ctx] as in {!all_tasks}). *)
+val find_task : t -> int -> addr option
+(** Look a task up by pid number. *)

@@ -132,14 +132,11 @@ let install_fd t files file =
   w32 ctx files "files_struct" "next_fd" (fd + 1);
   fd
 
-(* [?ctx] as in [Kstate.all_tasks]: debugger-side callers supply their
-   own memory view (a lane's Kmem fork) for deterministic parallel
-   fault injection. *)
-let fd_file ?ctx t files fd =
-  let ctx = Option.value ctx ~default:t.ctx in
+let fd_file t files fd =
+  let ctx = t.ctx in
   let fdt = r64 ctx files "files_struct" "fdt" in
   let fd_array = r64 ctx fdt "fdtable" "fd" in
-  Kmem.read_u64 ctx.Kcontext.mem (fd_array + (8 * fd))
+  Kmem.read_u64 ctx.mem (fd_array + (8 * fd))
 
 (** Open fds of a files_struct as (fd, file) pairs. *)
 let open_fds t files =

@@ -51,10 +51,8 @@ val install_fd : t -> addr -> addr -> int
 (** Install a file in the lowest free slot; returns the fd.
     @raise Failure when the table is full. *)
 
-val fd_file : ?ctx:Kcontext.t -> t -> addr -> int -> addr
-(** The file at an fd (0 when closed).  [?ctx] reads through the given
-    context's memory (a parallel lane's forked view) instead of the
-    filesystem's own. *)
+val fd_file : t -> addr -> int -> addr
+(** The file at an fd (0 when closed). *)
 
 val open_fds : t -> addr -> (int * addr) list
 (** All open (fd, file) pairs. *)

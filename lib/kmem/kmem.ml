@@ -37,17 +37,7 @@ type t = {
      unless a test opts in) *)
   mutable inj_rate : float;
   mutable inj_rng : int;
-  mutable inj_seed : int;
-  (* forked views draw from a per-lane xorshift64* stream instead of
-     the base's shared LCG, so parallel injected runs stay
-     deterministic whatever the lane interleaving *)
-  inj_split : bool;
   mutable poisoned : (addr * int) list;
-  (* Overlay views (parallel extraction): a forked view reads through
-     to its parent and copies chunks on first write, so lane-local
-     mutation (split chaos) never touches the shared base.  The base
-     has [parent = None]. *)
-  parent : t option;
 }
 
 let create () =
@@ -65,36 +55,16 @@ let create () =
     bytes_read = 0;
     inj_rate = 0.;
     inj_rng = 0x9e3779b9;
-    inj_seed = 0x9e3779b9;
-    inj_split = false;
     poisoned = [];
-    parent = None;
   }
 
-(* Reads never insert: an absent chunk is all-zero by construction, and
-   a non-inserting lookup is what lets forked views on worker domains
-   read the shared base concurrently (pure [Hashtbl.find_opt], no
-   resize) while the base is quiescent. *)
-let rec find_chunk mem idx =
-  match Hashtbl.find_opt mem.chunks idx with
-  | Some b -> Some b
-  | None -> ( match mem.parent with Some p -> find_chunk p idx | None -> None)
-
-(* Writes copy-on-write: a view's first store into a chunk clones the
-   deepest ancestor copy (or a zero chunk) into its own overlay. *)
+(* Reads never insert: an absent chunk is all-zero by construction. *)
 let chunk_for_write mem a =
   let idx = a lsr chunk_bits in
   match Hashtbl.find_opt mem.chunks idx with
   | Some b -> b
   | None ->
-      let b =
-        match mem.parent with
-        | None -> Bytes.make chunk_size '\000'
-        | Some p -> (
-            match find_chunk p idx with
-            | Some src -> Bytes.copy src
-            | None -> Bytes.make chunk_size '\000')
-      in
+      let b = Bytes.make chunk_size '\000' in
       Hashtbl.add mem.chunks idx b;
       b
 
@@ -122,14 +92,7 @@ let touch mem a n =
   done
 
 let generation mem = mem.gen
-
-(* A view's own stamps (taken after the fork, hence strictly newer than
-   anything in the parent at fork time) win; otherwise fall through to
-   the parent's pre-fork stamp. *)
-let rec page_generation mem p =
-  match Hashtbl.find_opt mem.page_gen p with
-  | Some g -> g
-  | None -> ( match mem.parent with Some par -> page_generation par p | None -> 0)
+let page_generation mem p = Option.value (Hashtbl.find_opt mem.page_gen p) ~default:0
 
 let range_generation mem a n =
   let first = a lsr page_bits and last = (a + max n 1 - 1) lsr page_bits in
@@ -140,7 +103,6 @@ let range_generation mem a n =
   !acc
 
 let alloc mem ?(align = 16) ~tag size =
-  if mem.parent <> None then invalid_arg "Kmem.alloc: forked view";
   let size = max size 1 in
   let base = (mem.cursor + align - 1) land lnot (align - 1) in
   mem.cursor <- base + size;
@@ -178,7 +140,6 @@ let is_live mem a =
 let poison_byte = '\x6b'
 
 let free mem a =
-  if mem.parent <> None then invalid_arg "Kmem.free: forked view";
   match alloc_of mem a with
   | Some ({ state = Live; _ } as al) when al.base = a ->
       al.state <- Freed;
@@ -208,15 +169,13 @@ let record_fault mem f =
 
 let inject_read_failures mem ?(seed = 0x9e3779b9) rate =
   mem.inj_rate <- rate;
-  mem.inj_rng <- seed;
-  mem.inj_seed <- seed
+  mem.inj_rng <- seed
 
 let poison_range mem a len = if len > 0 then mem.poisoned <- (a, len) :: mem.poisoned
 
 let clear_injection mem =
   mem.inj_rate <- 0.;
   mem.inj_rng <- 0x9e3779b9;
-  mem.inj_seed <- 0x9e3779b9;
   mem.poisoned <- []
 
 (* The injection LCG advances once per performed read, so any layer that
@@ -225,28 +184,13 @@ let clear_injection mem =
    injection is live, keeping injected runs byte-for-byte reproducible. *)
 let injection_active mem = mem.inj_rate > 0. || mem.poisoned <> []
 
-(* xorshift64* step, masked into OCaml's positive int range.  The lane
-   streams only need determinism + decent mixing, not the full 64-bit
-   period. *)
-let xs64 x =
-  let x = x lxor (x lsr 12) in
-  let x = x lxor ((x lsl 25) land 0x3FFF_FFFF_FFFF_FFFF) in
-  let x = x lxor (x lsr 27) in
-  x * 0x2545F4914F6CDD1D land 0x3FFF_FFFF_FFFF_FFFF
-
-let xs64_seed s =
-  let s = (s lxor 0x1E3779B97F4A7C15) land 0x3FFF_FFFF_FFFF_FFFF in
-  if s = 0 then 1 else s
-
 let injected mem a n =
   let ranged = List.exists (fun (b, len) -> a < b + len && b < a + n) mem.poisoned in
   let random =
     mem.inj_rate > 0.
     && begin
-         (if mem.inj_split then mem.inj_rng <- xs64 mem.inj_rng
-          else
-            (* Java's 48-bit LCG: fits comfortably in OCaml's 63-bit ints *)
-            mem.inj_rng <- ((mem.inj_rng * 25214903917) + 11) land 0xFFFF_FFFF_FFFF);
+         (* Java's 48-bit LCG: fits comfortably in OCaml's 63-bit ints *)
+         mem.inj_rng <- ((mem.inj_rng * 25214903917) + 11) land 0xFFFF_FFFF_FFFF;
          float_of_int ((mem.inj_rng lsr 24) land 0xFFFFFF) /. 16777216. < mem.inj_rate
        end
   in
@@ -274,7 +218,7 @@ let note_read mem a n =
     | Some { state = Live; _ } | None -> ()
 
 let get mem a =
-  match find_chunk mem (a lsr chunk_bits) with
+  match Hashtbl.find_opt mem.chunks (a lsr chunk_bits) with
   | Some b -> Char.code (Bytes.get b (a land (chunk_size - 1)))
   | None -> 0
 
@@ -383,56 +327,6 @@ let reset_counters mem =
 
 let live_count mem = mem.live
 let live_bytes mem = mem.live_bytes
-
-(* ------------------------------------------------------------------ *)
-(* Overlay forks (parallel extraction).  A fork is a read-through view
-   of [mem] with its own generation/fault/counter state and its own
-   injection stream: reads fall through the parent chain (never
-   inserting), writes copy the containing chunk into the view first.
-   The shared allocation map is referenced physically — pure lookups
-   only — under the contract that the base is quiescent (no alloc/free,
-   no store) while forks of it are live on other domains.  [lane] picks
-   the deterministic xorshift64* injection stream ([inj_seed lxor
-   lane]), so a lane's fault pattern depends only on its lane id and
-   read sequence, not on domain count or steal schedule. *)
-
-let fork ?(lane = 0) mem =
-  {
-    chunks = Hashtbl.create 16;
-    by_page = mem.by_page;
-    cursor = mem.cursor;
-    live = mem.live;
-    live_bytes = mem.live_bytes;
-    gen = mem.gen;
-    page_gen = Hashtbl.create 64;
-    faults_rev = [];
-    nfaults = 0;
-    reads = 0;
-    bytes_read = 0;
-    inj_rate = mem.inj_rate;
-    inj_rng = xs64_seed (mem.inj_seed lxor lane);
-    inj_seed = mem.inj_seed lxor lane;
-    inj_split = true;
-    poisoned = mem.poisoned;
-    parent = Some mem;
-  }
-
-let is_fork mem = mem.parent <> None
-
-(* Fold a joined fork's accounting back into [mem], preserving the
-   fork's internal fault order (callers absorb forks in lane order, so
-   the merged journal is deterministic).  The fork's lane-local page
-   writes are deliberately NOT merged: split chaos mutates the view,
-   never the base. *)
-let absorb mem child =
-  mem.reads <- mem.reads + child.reads;
-  mem.bytes_read <- mem.bytes_read + child.bytes_read;
-  mem.nfaults <- mem.nfaults + child.nfaults;
-  mem.faults_rev <- child.faults_rev @ mem.faults_rev;
-  child.faults_rev <- [];
-  child.nfaults <- 0;
-  child.reads <- 0;
-  child.bytes_read <- 0
 
 let pp_fault ppf = function
   | Use_after_free { obj; tag; at } ->

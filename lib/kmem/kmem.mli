@@ -168,34 +168,4 @@ val bytes_read : t -> int
 
 val reset_counters : t -> unit
 
-(** {1 Overlay forks (parallel extraction)}
-
-    A fork is a read-through view of a base memory for one extraction
-    lane: reads fall through to the base (never mutating it, not even
-    a cache insert), the first write into a chunk copies it into the
-    view (so lane-local chaos mutates the view only), and the view
-    carries its own generation stamps, fault journal, read counters
-    and fault-injection stream.  Contract: while forks are live on
-    other domains the base must be quiescent — no alloc/free and no
-    stores to it.  Forks must not allocate or free
-    ({!alloc}/{!free} raise [Invalid_argument] on a fork). *)
-
-val fork : ?lane:int -> t -> t
-(** [fork ~lane mem] — a fresh overlay view of [mem].  The view
-    inherits the current injection rate and poisoned ranges but draws
-    from a deterministic per-lane xorshift64* stream seeded with
-    [inj_seed lxor lane], so a lane's fault pattern depends only on
-    its lane id and its own read sequence — not on the domain count or
-    steal schedule. *)
-
-val is_fork : t -> bool
-
-val absorb : t -> t -> unit
-(** [absorb base child] folds a joined fork's read counters and fault
-    journal back into [base] (appending the child's faults after the
-    base's, preserving their internal order) and empties the child's
-    accounting.  Callers absorb forks in lane order, making the merged
-    journal identical across domain counts.  The child's lane-local
-    writes are deliberately discarded. *)
-
 val pp_fault : Format.formatter -> fault -> unit

@@ -27,8 +27,8 @@ module Clock = struct
      clamping every reading to the running maximum makes the clock
      monotone, which is all span/duration arithmetic needs.  The
      running maximum is an [Atomic.t] advanced by a CAS-max loop, so
-     concurrent readings from extraction worker domains never regress
-     each other: whatever any domain has observed is a floor for every
+     concurrent readings from several domains never regress each
+     other: whatever any domain has observed is a floor for every
      later reading on every domain. *)
   let last = Atomic.make 0.
 
@@ -153,85 +153,43 @@ type frame = {
 }
 
 let stack : frame list ref = ref []
+let current_depth () = List.length !stack
 
 (* ------------------------------------------------------------------ *)
 (* Trace identity and span links *)
 
 type link = { lkind : string; lfrom : int; lto : int }
 
-(* Trace/span ids are minted from atomics so worker domains can open
-   spans concurrently without ever reusing an id.  Ids stay unique but
-   not dense: their interleaving across domains is schedule-dependent.
-   Nothing renders ids — plot identity is over renders, journals and
-   counters, all of which flow through the deterministic lane merge
-   below. *)
+(* Trace/span ids are minted from atomics so no two domains ever
+   reuse an id. *)
 let trace_ctr = Atomic.make 0
 let span_ctr = Atomic.make 0
 let cur_trace = ref 0
 let links_q : link Queue.t = Queue.create ()
 let max_links = 16384
 
-(* ------------------------------------------------------------------ *)
-(* Lane buffers: per-domain recording contexts for parallel extraction.
-
-   The global tables (ring, aggregates, metrics registry, links queue)
-   are single-domain structures and stay that way.  A worker domain
-   never touches them: every task the extraction pool runs is wrapped
-   in [Lane.scoped], which installs a domain-local buffer capturing
-   events, counter deltas, gauge writes, histogram observations and
-   span links.  At the join the *parent* absorbs each child lane in
-   shard order — so the merged registry is identical whatever the
-   domain count or steal schedule. *)
-type lane = {
-  mutable lev : event list;  (* newest first *)
-  lcnt : (string, int ref) Hashtbl.t;
-  mutable lgauges : (string * float) list;  (* newest first *)
-  mutable lobs : (string * float * int) list;  (* name, sample, ambient trace *)
-  mutable llinks : link list;  (* newest first *)
-  mutable lstack : frame list;
-  mutable ltrace : int;
-}
-
-let lane_key : lane option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-let cur_lane () = !(Domain.DLS.get lane_key)
-
-let lane_count l name by =
-  match Hashtbl.find_opt l.lcnt name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add l.lcnt name (ref by)
-
 module Trace = struct
   type nonrec link = link = { lkind : string; lfrom : int; lto : int }
 
   let mint () = if !on then Atomic.fetch_and_add trace_ctr 1 + 1 else 0
 
-  let current () = match cur_lane () with Some l -> l.ltrace | None -> !cur_trace
+  let current () = !cur_trace
 
   let with_trace tid f =
     if tid = 0 then f ()
-    else
-      match cur_lane () with
-      | Some l ->
-          let saved = l.ltrace in
-          l.ltrace <- tid;
-          Fun.protect ~finally:(fun () -> l.ltrace <- saved) f
-      | None ->
-          let saved = !cur_trace in
-          cur_trace := tid;
-          Fun.protect ~finally:(fun () -> cur_trace := saved) f
+    else begin
+      let saved = !cur_trace in
+      cur_trace := tid;
+      Fun.protect ~finally:(fun () -> cur_trace := saved) f
+    end
 
-  let current_span () =
-    match (match cur_lane () with Some l -> l.lstack | None -> !stack) with
-    | fr :: _ -> fr.fid
-    | [] -> 0
+  let current_span () = match !stack with fr :: _ -> fr.fid | [] -> 0
 
   let link ~kind ~from_span ~to_span =
-    if !on && from_span <> 0 && to_span <> 0 then
-      match cur_lane () with
-      | Some l -> l.llinks <- { lkind = kind; lfrom = from_span; lto = to_span } :: l.llinks
-      | None ->
-          if Queue.length links_q >= max_links then ignore (Queue.pop links_q);
-          Queue.push { lkind = kind; lfrom = from_span; lto = to_span } links_q
+    if !on && from_span <> 0 && to_span <> 0 then begin
+      if Queue.length links_q >= max_links then ignore (Queue.pop links_q);
+      Queue.push { lkind = kind; lfrom = from_span; lto = to_span } links_q
+    end
 
   let links () = List.of_seq (Queue.to_seq links_q)
 end
@@ -249,20 +207,22 @@ let update_agg tbl key ~dur ~self =
   a.atotal <- a.atotal +. dur;
   a.aself <- a.aself +. self
 
-let record_span (s : span) =
-  push (Span s);
+let record_span ~name ~cat ~attrs ~t0 ~dur ~self ~depth ~id ~parent ~trace =
+  push
+    (Span
+       { sname = name; scat = cat; st0_ms = t0; sdur_ms = dur; sself_ms = self;
+         sdepth = depth; sid = id; sparent = parent; strace = trace; sattrs = attrs });
   incr spans_seen;
-  let dur = s.sdur_ms and self = s.sself_ms in
-  update_agg agg_tbl s.sname ~dur ~self;
-  match breakdown_key s.sname s.sattrs with
+  update_agg agg_tbl name ~dur ~self;
+  match breakdown_key name attrs with
   | None -> ()
   | Some key ->
       if Hashtbl.mem agg_attr_tbl key then update_agg agg_attr_tbl key ~dur ~self
       else begin
-        let card = Option.value ~default:0 (Hashtbl.find_opt agg_attr_card s.sname) in
-        if card >= max_breakdown then update_agg agg_attr_tbl (s.sname ^ "{...}") ~dur ~self
+        let card = Option.value ~default:0 (Hashtbl.find_opt agg_attr_card name) in
+        if card >= max_breakdown then update_agg agg_attr_tbl (name ^ "{...}") ~dur ~self
         else begin
-          Hashtbl.replace agg_attr_card s.sname (card + 1);
+          Hashtbl.replace agg_attr_card name (card + 1);
           update_agg agg_attr_tbl key ~dur ~self
         end
       end
@@ -270,42 +230,31 @@ let record_span (s : span) =
 let with_span ?(cat = "app") ?(attrs = []) name f =
   if not !on then f ()
   else begin
-    let lane = cur_lane () in
-    let st = match lane with Some l -> l.lstack | None -> !stack in
-    let depth = List.length st in
+    let depth = List.length !stack in
     let fr =
       { fname = name; fcat = cat; fattrs = attrs; ft0 = since_epoch_ms ();
         fid = Atomic.fetch_and_add span_ctr 1 + 1;
-        fparent = (match st with p :: _ -> p.fid | [] -> 0);
-        ftrace = (match lane with Some l -> l.ltrace | None -> !cur_trace);
-        fchild = 0. }
+        fparent = (match !stack with p :: _ -> p.fid | [] -> 0);
+        ftrace = !cur_trace; fchild = 0. }
     in
-    (match lane with Some l -> l.lstack <- fr :: l.lstack | None -> stack := fr :: !stack);
+    stack := fr :: !stack;
     Fun.protect
       ~finally:(fun () ->
-        match (match lane with Some l -> l.lstack | None -> !stack) with
+        match !stack with
         | top :: rest when top == fr ->
-            (match lane with Some l -> l.lstack <- rest | None -> stack := rest);
+            stack := rest;
             let dur = since_epoch_ms () -. fr.ft0 in
             let self = Float.max 0. (dur -. fr.fchild) in
             (match rest with parent :: _ -> parent.fchild <- parent.fchild +. dur | [] -> ());
-            let s =
-              { sname = fr.fname; scat = fr.fcat; st0_ms = fr.ft0; sdur_ms = dur;
-                sself_ms = self; sdepth = depth; sid = fr.fid; sparent = fr.fparent;
-                strace = fr.ftrace; sattrs = fr.fattrs }
-            in
-            (match lane with Some l -> l.lev <- Span s :: l.lev | None -> record_span s)
+            record_span ~name:fr.fname ~cat:fr.fcat ~attrs:fr.fattrs ~t0:fr.ft0 ~dur ~self
+              ~depth ~id:fr.fid ~parent:fr.fparent ~trace:fr.ftrace
         | _ -> () (* a reset () ran inside [f]: the frame is gone, drop it *))
       f
   end
 
-let current_depth () =
-  List.length (match cur_lane () with Some l -> l.lstack | None -> !stack)
-
 let instant ?(cat = "app") ?(attrs = []) name =
   if !on then
-    let ev = Instant { iname = name; icat = cat; it_ms = since_epoch_ms (); iattrs = attrs } in
-    match cur_lane () with Some l -> l.lev <- ev :: l.lev | None -> push ev
+    push (Instant { iname = name; icat = cat; it_ms = since_epoch_ms (); iattrs = attrs })
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry *)
@@ -323,12 +272,10 @@ module Metrics = struct
         r
 
   let incr ?(by = 1) name =
-    if !on then
-      match cur_lane () with
-      | Some l -> lane_count l name by
-      | None ->
-          let r = counter_ref name in
-          r := !r + by
+    if !on then begin
+      let r = counter_ref name in
+      r := !r + by
+    end
 
   let counter name = match Hashtbl.find_opt counters_tbl name with Some r -> !r | None -> 0
 
@@ -336,16 +283,11 @@ module Metrics = struct
     Hashtbl.fold (fun k r acc -> (k, !r) :: acc) counters_tbl []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-  let gauge_now name v =
-    match Hashtbl.find_opt gauges_tbl name with
-    | Some r -> r := v
-    | None -> Hashtbl.add gauges_tbl name (ref v)
-
   let set_gauge name v =
     if !on then
-      match cur_lane () with
-      | Some l -> l.lgauges <- (name, v) :: l.lgauges
-      | None -> gauge_now name v
+      match Hashtbl.find_opt gauges_tbl name with
+      | Some r -> r := v
+      | None -> Hashtbl.add gauges_tbl name (ref v)
 
   let gauge name = Option.map ( ! ) (Hashtbl.find_opt gauges_tbl name)
 
@@ -381,36 +323,32 @@ module Metrics = struct
 
   let histos_tbl : (string, histo) Hashtbl.t = Hashtbl.create 16
 
-  let observe_trace name v tr =
-    let h =
-      match Hashtbl.find_opt histos_tbl name with
-      | Some h -> h
-      | None ->
-          let h =
-            { hcount = 0; hsum = 0.; hmin = Float.infinity; hmax = Float.neg_infinity;
-              hbuckets = Array.make nbuckets 0; hex_trace = Array.make nbuckets 0;
-              hex_val = Array.make nbuckets 0. }
-          in
-          Hashtbl.add histos_tbl name h;
-          h
-    in
-    h.hcount <- h.hcount + 1;
-    h.hsum <- h.hsum +. v;
-    if v < h.hmin then h.hmin <- v;
-    if v > h.hmax then h.hmax <- v;
-    let b = h.hbuckets in
-    let i = bucket_of v in
-    b.(i) <- b.(i) + 1;
-    if tr <> 0 then begin
-      h.hex_trace.(i) <- tr;
-      h.hex_val.(i) <- v
-    end
-
   let observe name v =
-    if !on then
-      match cur_lane () with
-      | Some l -> l.lobs <- (name, v, l.ltrace) :: l.lobs
-      | None -> observe_trace name v !cur_trace
+    if !on then begin
+      let h =
+        match Hashtbl.find_opt histos_tbl name with
+        | Some h -> h
+        | None ->
+            let h =
+              { hcount = 0; hsum = 0.; hmin = Float.infinity; hmax = Float.neg_infinity;
+                hbuckets = Array.make nbuckets 0; hex_trace = Array.make nbuckets 0;
+                hex_val = Array.make nbuckets 0. }
+            in
+            Hashtbl.add histos_tbl name h;
+            h
+      in
+      h.hcount <- h.hcount + 1;
+      h.hsum <- h.hsum +. v;
+      if v < h.hmin then h.hmin <- v;
+      if v > h.hmax then h.hmax <- v;
+      let b = h.hbuckets in
+      let i = bucket_of v in
+      b.(i) <- b.(i) + 1;
+      if !cur_trace <> 0 then begin
+        h.hex_trace.(i) <- !cur_trace;
+        h.hex_val.(i) <- v
+      end
+    end
 
   let exemplars name =
     match Hashtbl.find_opt histos_tbl name with
@@ -474,76 +412,13 @@ module Metrics = struct
 end
 
 module Counter = struct
-  (* The handle keeps its name alongside the resolved ref: inside a
-     lane the increment must land in the lane's by-name delta table
-     (the global ref is shared across domains), outside it stays the
-     pre-resolved single add. *)
-  type t = { cname : string; cref : int ref }
+  type t = int ref
 
-  let make name = { cname = name; cref = Metrics.counter_ref name }
+  let make = Metrics.counter_ref
 
-  let add c by =
-    if !on then
-      match cur_lane () with
-      | Some l -> lane_count l c.cname by
-      | None -> c.cref := !(c.cref) + by
-
+  let add c by = if !on then c := !c + by
   let incr c = add c 1
-  let value c = !(c.cref)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Lane API *)
-
-module Lane = struct
-  type t = lane
-
-  let make () =
-    { lev = []; lcnt = Hashtbl.create 16; lgauges = []; lobs = []; llinks = [];
-      lstack = []; ltrace = 0 }
-
-  let active () = cur_lane () <> None
-
-  let scoped l f =
-    let r = Domain.DLS.get lane_key in
-    let saved = !r in
-    r := Some l;
-    Fun.protect ~finally:(fun () -> r := saved) f
-
-  let clear l =
-    l.lev <- [];
-    Hashtbl.reset l.lcnt;
-    l.lgauges <- [];
-    l.lobs <- [];
-    l.llinks <- []
-
-  let absorb l =
-    (match cur_lane () with
-    | Some p ->
-        (* nested join: fold into the enclosing lane; both lists are
-           newest-first, so prepending the child keeps call order *)
-        p.lev <- l.lev @ p.lev;
-        Hashtbl.iter (fun name r -> lane_count p name !r) l.lcnt;
-        p.lgauges <- l.lgauges @ p.lgauges;
-        p.lobs <- l.lobs @ p.lobs;
-        p.llinks <- l.llinks @ p.llinks
-    | None ->
-        List.iter
-          (fun ev -> match ev with Span s -> record_span s | Instant _ -> push ev)
-          (List.rev l.lev);
-        Hashtbl.iter
-          (fun name r ->
-            let g = Metrics.counter_ref name in
-            g := !g + !r)
-          l.lcnt;
-        List.iter (fun (name, v) -> Metrics.gauge_now name v) (List.rev l.lgauges);
-        List.iter (fun (name, v, tr) -> Metrics.observe_trace name v tr) (List.rev l.lobs);
-        List.iter
-          (fun lk ->
-            if Queue.length links_q >= max_links then ignore (Queue.pop links_q);
-            Queue.push lk links_q)
-          (List.rev l.llinks));
-    clear l
+  let value c = !c
 end
 
 (* ------------------------------------------------------------------ *)

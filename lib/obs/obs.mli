@@ -34,8 +34,8 @@ val reset : unit -> unit
     NTP steps (each reading is clamped to the previous maximum), so
     durations derived from it are never negative. The running maximum
     is an [Atomic.t] advanced with a CAS-max loop, so readings taken
-    concurrently from extraction worker domains never regress each
-    other either. *)
+    concurrently from several domains never regress each other
+    either. *)
 module Clock : sig
   val now_ms : unit -> float
   (** Milliseconds since the Unix epoch, monotonicized. *)
@@ -213,46 +213,7 @@ module Counter : sig
 
   val incr : t -> unit
   val add : t -> int -> unit
-
   val value : t -> int
-  (** The {e global} value; lane-buffered deltas not yet absorbed are
-      not included. *)
-end
-
-(** {1 Parallel extraction lanes} *)
-
-(** Per-domain recording buffers for the parallel extraction engine
-    (DESIGN.md §14).  The global tables (event ring, span aggregates,
-    metrics registry, links queue) are single-domain structures; a
-    worker domain must never touch them.  The pool wraps every task in
-    {!Lane.scoped}, which installs a domain-local buffer capturing the
-    task's events, counter deltas, gauge writes, histogram samples and
-    span links; at the join the parent calls {!Lane.absorb} on each
-    child lane {e in shard order}, folding the buffers into either the
-    enclosing lane (nested splits) or the global registry — so the
-    merged registry is bit-identical whatever the domain count or
-    steal schedule. *)
-module Lane : sig
-  type t
-
-  val make : unit -> t
-  (** A fresh, empty lane buffer. *)
-
-  val scoped : t -> (unit -> 'a) -> 'a
-  (** [scoped l f] runs [f] with [l] installed as the calling domain's
-      recording context (the previous context is restored on return or
-      raise; nesting is allowed — the main domain helps execute shard
-      tasks too). *)
-
-  val absorb : t -> unit
-  (** Fold the lane's buffers into the caller's current context —
-      the enclosing lane if one is active, else the global registry —
-      preserving intra-lane recording order, then empty the lane.
-      Must be called from the (single) joining thread, never
-      concurrently with the lane still executing. *)
-
-  val active : unit -> bool
-  (** Whether the calling domain currently records into a lane. *)
 end
 
 (** {1 Span profile (aggregated)} *)

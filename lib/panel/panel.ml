@@ -17,7 +17,9 @@ type pane = {
   kind : kind;
   graph : Vgraph.t;
   session : Viewql.session;  (** named ViewQL sets persist per pane *)
-  mutable history : string list;  (** ViewQL programs applied, oldest first *)
+  mutable history : string list;
+      (** ViewQL programs applied, newest first: a refinement is one cons,
+          and readers reverse *)
   mutable stale : bool;  (** graph predates the last target crash *)
 }
 
@@ -274,7 +276,7 @@ let refine t ~at src =
   @@ fun () ->
   let p = pane t at in
   let n = Viewql.exec p.session src in
-  p.history <- p.history @ [ src ];
+  p.history <- src :: p.history;
   checkpoint t (Jrefine { at; viewql = src });
   n
 
@@ -321,7 +323,7 @@ let pane_to_json p =
           (String.concat "," (List.map string_of_int picked))
   in
   Printf.sprintf "{\"id\":%d,%s,\"history\":[%s]}" p.pid kind
-    (String.concat "," (List.map (fun h -> Printf.sprintf "\"%s\"" (Vgraph.json_escape h)) p.history))
+    (String.concat "," (List.rev_map (fun h -> Printf.sprintf "\"%s\"" (Vgraph.json_escape h)) p.history))
 
 let to_json t =
   Printf.sprintf "{\"layout\":%s,\"panes\":[%s]}"
@@ -356,7 +358,7 @@ let saved_programs t =
     (fun id ->
       let p = pane t id in
       match p.kind with
-      | Primary { program } -> Some (program, p.history)
+      | Primary { program } -> Some (program, List.rev p.history)
       | Secondary _ -> None)
     (pane_ids t)
 
@@ -485,7 +487,7 @@ let refresh t ~at ~extract =
               let session = Viewql.make_session graph in
               List.iter
                 (fun h -> try ignore (Viewql.exec session h) with _ -> ())
-                p.history;
+                (List.rev p.history);
               Hashtbl.replace t.panes at
                 { p with graph; session; stale = false };
               true))

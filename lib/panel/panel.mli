@@ -19,7 +19,7 @@ type pane = {
   kind : kind;
   graph : Vgraph.t;
   session : Viewql.session;  (** named ViewQL sets persist per pane *)
-  mutable history : string list;  (** ViewQL programs applied, oldest first *)
+  mutable history : string list;  (** ViewQL programs applied, newest first *)
   mutable stale : bool;
       (** the graph predates the last target crash; rendered with a
           [STALE] tag until re-extracted via {!refresh} *)
@@ -89,7 +89,8 @@ val programs_of_json : string -> (string * string list) list
 
 val saved_programs : t -> (string * string list) list
 (** Same, from a live session: every primary pane's ViewCL program and
-    its ViewQL history — enough to replay against a fresh target. *)
+    its ViewQL history, oldest first — enough to replay against a fresh
+    target. *)
 
 (** {1 Crash-safe sessions}
 

@@ -47,10 +47,6 @@ type t = {
   mutable sections : section list;  (* innermost consistent section first *)
   mutable read_hook : (unit -> unit) option;  (* chaos: fired between reads *)
   mutable in_hook : bool;  (* reentrancy guard for [read_hook] *)
-  (* Installed by split-chaos: [fork] consults it to derive a lane-local
-     read hook that mutates the lane's own Kmem view (never the shared
-     base), keyed by the deterministic lane id. *)
-  mutable hook_fork : (lane:int -> Kmem.t -> (unit -> unit) option) option;
   (* Generation-validated read cache (transport-avoidance only): page
      index -> Kmem page generation at fill.  A lookup is a hit when
      every page of the read still carries its fill-time generation; any
@@ -78,7 +74,6 @@ let create kmem reg =
     sections = [];
     read_hook = None;
     in_hook = false;
-    hook_fork = None;
     rcache = Hashtbl.create 1024;
     cache_on = true;
     ch_hits = 0;
@@ -219,8 +214,6 @@ let section_pages sec =
   |> List.sort compare
 
 let set_read_hook t h = t.read_hook <- h
-let set_hook_fork t f = t.hook_fork <- f
-let read_hook_armed t = t.read_hook <> None
 
 (* Fire the chaos hook after a performed read.  The guard stops a hook
    whose mutators themselves go through this target from recursing. *)
@@ -684,73 +677,3 @@ let kgdb_rpi400 = Transport.kgdb_rpi400
 
 let simulated_ms p st =
   (float_of_int st.reads *. p.rtt_ms) +. (float_of_int st.bytes *. p.byte_ms)
-
-(* ------------------------------------------------------------------ *)
-(* Per-lane forks (parallel extraction).
-
-   A fork is a target over a [Kmem.fork] view of the base memory for
-   one extraction lane: the type registry, symbol/macro/helper tables
-   and allocation map are shared physically (read-only during a
-   parallel region), everything mutable — journal, sinks, sections,
-   read cache, counters, hooks — is lane-local.  Combined with the
-   per-lane injection/chaos/transport streams, a lane's entire
-   execution is a deterministic function of its lane id and program
-   slice, independent of domain count and steal schedule. *)
-
-let fork ?(lane = 0) t =
-  let kmem = Kmem.fork ~lane t.kmem in
-  let ft =
-    {
-      kmem;
-      reg = t.reg;
-      symbols = t.symbols;
-      macros = t.macros;
-      helpers = t.helpers;
-      journal = [];
-      nfaults = 0;
-      sinks = [];
-      transport = Option.map (fun tr -> Transport.fork ~lane tr) t.transport;
-      sections = [];
-      read_hook = None;
-      in_hook = false;
-      hook_fork = t.hook_fork;
-      (* lanes start cold: a warm-start copy of the parent's page cache
-         would depend on when the lane actually ran — a schedule
-         dependence, exactly what the lane contract forbids *)
-      rcache = Hashtbl.create 64;
-      cache_on = t.cache_on;
-      ch_hits = 0;
-      ch_misses = 0;
-      ch_coalesced = 0;
-    }
-  in
-  (match t.hook_fork with Some f -> ft.read_hook <- f ~lane kmem | None -> ());
-  ft
-
-let is_fork t = Kmem.is_fork t.kmem
-
-(* Deterministic join: fold a lane's accounting back into the parent.
-   Callers absorb lanes in lane order, so the merged journal, counters
-   and cache statistics are identical across domain counts.  Only page
-   stamps still valid against the parent's memory are adopted into the
-   read cache (lane-local chaos writes stamp view-only generations that
-   must not leak). *)
-let absorb t child =
-  Kmem.absorb t.kmem child.kmem;
-  t.nfaults <- t.nfaults + child.nfaults;
-  t.journal <- child.journal @ t.journal;
-  child.journal <- [];
-  child.nfaults <- 0;
-  t.ch_hits <- t.ch_hits + child.ch_hits;
-  t.ch_misses <- t.ch_misses + child.ch_misses;
-  t.ch_coalesced <- t.ch_coalesced + child.ch_coalesced;
-  child.ch_hits <- 0;
-  child.ch_misses <- 0;
-  child.ch_coalesced <- 0;
-  if t.cache_on then
-    Hashtbl.iter
-      (fun p g -> if Kmem.page_generation t.kmem p = g then Hashtbl.replace t.rcache p g)
-      child.rcache;
-  match (t.transport, child.transport) with
-  | Some tr, Some ctr -> Transport.absorb tr ctr
-  | _ -> ()

@@ -231,46 +231,6 @@ val set_read_hook : t -> (unit -> unit) option -> unit
     extraction.  Reentrant firing is suppressed: a hook whose own work
     reads through this target does not recurse. *)
 
-val read_hook_armed : t -> bool
-(** A read hook is currently installed.  Streamed container walks
-    consult this: a hook may mutate shared memory on the walking
-    thread's reads, so lanes must not run concurrently with the walk —
-    the interpreter falls back to the eager materialize-then-split
-    path whenever a hook is armed. *)
-
-val set_hook_fork : t -> (lane:int -> Kmem.t -> (unit -> unit) option) option -> unit
-(** Install (or clear) the read-hook forker consulted by {!fork}: given
-    the lane id and the lane's own Kmem view, it derives that lane's
-    read hook.  Split chaos uses this to give every lane a mutator
-    stream that writes only into the lane's view, deterministically in
-    the lane id (see [Workload.Chaos.arm_split]). *)
-
-(* ------------------------------------------------------------------ *)
-(* Per-lane forks (parallel extraction) *)
-
-val fork : ?lane:int -> t -> t
-(** [fork ~lane t] — a lane-local target over a {!Kmem.fork} view of
-    [t]'s memory.  Shared physically (read-only during the parallel
-    region): type registry, symbols, macros, helpers, allocation map.
-    Lane-local: fault journal, sinks, consistent sections, read cache
-    (starts cold — a warm copy would depend on when the lane ran),
-    cache/read counters, the per-lane injection stream
-    ([Kmem.fork ~lane]), a {!Transport.fork} of the transport when one
-    is attached, and a read hook derived via {!set_hook_fork}.  A
-    lane's execution is thus a deterministic function of its lane id
-    and program slice — independent of domain count and schedule. *)
-
-val is_fork : t -> bool
-
-val absorb : t -> t -> unit
-(** [absorb t child] — deterministic join: append the lane's fault
-    journal after [t]'s (preserving its internal order), sum read /
-    cache counters, adopt still-valid page stamps into [t]'s read
-    cache, fold the lane transport's accounting into [t]'s, and empty
-    the child's accounting.  Call once per lane, from the joining
-    thread, in lane order — that makes the merged state identical
-    across domain counts. *)
-
 (* ------------------------------------------------------------------ *)
 (* Generation-validated read cache + struct-granular coalescing *)
 

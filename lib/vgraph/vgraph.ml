@@ -49,28 +49,10 @@ type t = {
   mutable roots : box_id list;
   mutable next_id : int;
   mutable title : string;
-  parent : t option;
-      (* overlay fork (parallel extraction): lookups fall through to the
-         parent, new boxes land in this graph under ids disjoint from
-         the parent's.  The parent must stay quiescent while forks are
-         read from other domains; only {!find}/{!get} walk the chain. *)
 }
 
 let create ?(title = "plot") () =
-  { boxes = Hashtbl.create 64; by_name = Hashtbl.create 64; roots = []; next_id = 1; title;
-    parent = None }
-
-(* Lane-local ids start here: far above anything a real plot allocates
-   (the interpreter's box budget is 20k per run), so a fork's ids never
-   collide with the parent's and an id below the base seen inside a fork
-   is unambiguously a parent reference. *)
-let fork_id_base = 1 lsl 40
-
-let fork g =
-  { boxes = Hashtbl.create 64; by_name = Hashtbl.create 64; roots = [];
-    next_id = max fork_id_base g.next_id; title = g.title; parent = Some g }
-
-let is_local g id = Hashtbl.mem g.boxes id
+  { boxes = Hashtbl.create 64; by_name = Hashtbl.create 64; roots = []; next_id = 1; title }
 
 let title g = g.title
 let set_title g s = g.title <- s
@@ -94,10 +76,7 @@ let add_box g ~btype ~bdef ~addr ~size ~container =
   if bdef <> btype then index_name g bdef id;
   b
 
-let rec find g id =
-  match Hashtbl.find_opt g.boxes id with
-  | Some b -> Some b
-  | None -> ( match g.parent with Some p -> find p id | None -> None)
+let find g id = Hashtbl.find_opt g.boxes id
 
 let get g id =
   match find g id with

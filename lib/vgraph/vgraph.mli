@@ -53,24 +53,6 @@ val create : ?title:string -> unit -> t
 val title : t -> string
 val set_title : t -> string -> unit
 
-val fork : t -> t
-(** An overlay view for one extraction lane: {!find}/{!get} fall
-    through to the parent graph (so values captured before the split —
-    environment-bound boxes — still resolve), while {!add_box}
-    allocates into the fork under ids disjoint from anything the parent
-    will ever use.  The parent must stay quiescent while forks are read
-    from other domains.  Whole-graph operations ({!boxes},
-    {!box_count}, {!ids_of_type}, {!reachable}, ...) see only the
-    fork's own boxes plus whatever parent boxes the walk reaches
-    through {!find}; the interpreter merges fork contents back
-    deterministically at the join. *)
-
-val is_local : t -> box_id -> bool
-(** Does [id] live in this graph itself (not in a {!fork} parent)?
-    Inside a fork this separates lane-built boxes (to import at the
-    join) from references to pre-split parent boxes (to pass through
-    unchanged). *)
-
 val add_box :
   t -> btype:string -> bdef:string -> addr:int -> size:int -> container:bool -> box
 (** Allocate a fresh box with a stable id and default attributes. *)

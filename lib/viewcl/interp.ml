@@ -92,7 +92,7 @@ let c_box_invalidated = Obs.Counter.make "cache.box_invalidated"
 type state = {
   tgt : Target.t;
   cfg : config;
-  graph : Vgraph.t;  (** = [cache.pc_graph] (or a {!Vgraph.fork} in a lane) *)
+  graph : Vgraph.t;  (** = [cache.pc_graph] *)
   defs : (string, boxdef) Hashtbl.t;
   cache : plot_cache;
   reuse_ok : bool;
@@ -101,22 +101,6 @@ type state = {
           skipping a subtree's reads would shift every later fault) *)
   bad : (Vgraph.box_id, unit) Hashtbl.t;  (** per-run invalid verdicts *)
   limits : limits;
-  pool : Dpool.t option;  (** domain pool for splitting wide For_each loops *)
-  lane : int option;  (** [Some lane] inside a lane shard (no nested splits) *)
-  mutable in_box : int;
-      (** [build_box] nesting depth.  A nested For_each (a container
-          inside a box) may still split: each lane element builds its
-          boxes under the lane target's own consistent sections —
-          exactly the sections a sequential build would open for those
-          child boxes — so per-box tear detection is preserved.  Only
-          the enclosing box's section no longer sees the loose
-          (non-box) reads of the loop body; those are glue reads whose
-          tears surface through the child boxes they feed. *)
-  mutable split_seq : int;
-      (** structural lane-id counter: each split claims the next block
-          of lane ids in program order, so a lane's id — and therefore
-          its chaos/injection streams — is a function of the program
-          alone, never of the domain count or schedule *)
   mutable box_budget : int;
   (* cache accounting for this run *)
   mutable hits : int;  (** boxes adopted from the previous run, zero reads *)
@@ -305,12 +289,9 @@ let format_value st dec (tv : Target.value) : string * Vgraph.fval =
 let distilled name f =
   if Obs.enabled () then Obs.with_span ~cat:"viewcl" name f else f ()
 
-(* [head_v]: lvalue of (or pointer to) a list_head; emits node addrs
-   one by one as the pointer chase discovers them.  The emit-style
-   shape is what lets a pooled run stream chunks to lane tasks while
-   the walk is still chasing — the read sequence is identical to the
-   materializing wrapper below. *)
-let iter_list_emit st head_v emit =
+let iter_list st head_v =
+  distilled "viewcl.distill.list" @@ fun () ->
+  (* [head_v]: lvalue of (or pointer to) a list_head; yields node addrs. *)
   let tgt = st.tgt in
   let head =
     match head_v.Target.typ with
@@ -319,25 +300,21 @@ let iter_list_emit st head_v emit =
   in
   let next a = Target.as_int tgt (Target.member tgt (Target.obj (Ctype.Named "list_head") a) "next") in
   let seen = Hashtbl.create 64 in
-  let rec go a n =
-    if a = head || a = 0 then ()
+  let rec go a acc n =
+    if a = head || a = 0 then List.rev acc
     else if
       Hashtbl.mem seen a || n >= st.limits.max_nodes
       || Target.deadline_exceeded st.tgt
-    then truncated st ~ctx:"List traversal" a
+    then begin
+      truncated st ~ctx:"List traversal" a;
+      List.rev acc
+    end
     else begin
       Hashtbl.add seen a ();
-      emit (Vtgt (Target.ptr_to (Ctype.Named "list_head") a));
-      go (next a) (n + 1)
+      go (next a) (Vtgt (Target.ptr_to (Ctype.Named "list_head") a) :: acc) (n + 1)
     end
   in
-  go (next head) 0
-
-let iter_list st head_v =
-  distilled "viewcl.distill.list" @@ fun () ->
-  let acc = ref [] in
-  iter_list_emit st head_v (fun v -> acc := v :: !acc);
-  List.rev !acc
+  go (next head) [] 0
 
 let iter_hlist st head_v =
   distilled "viewcl.distill.hlist" @@ fun () ->
@@ -505,13 +482,6 @@ let iter_maple st mt_v =
 
 let max_boxes = 20_000
 
-(* Parallel-split shape.  Both are functions of the element list alone
-   — NEVER of the domain count — so the lane structure (and every
-   per-lane rng stream seeded from lane ids) is identical across
-   --domains 1/2/4. *)
-let par_fanout = 8  (* don't split a For_each below this many elements *)
-let par_max_shards = 16  (* fixed shard ceiling per split *)
-
 let rec eval st env e : value =
   match e with
   | Cexpr src -> eval_cexpr st env src
@@ -539,13 +509,24 @@ let rec eval st env e : value =
             else try_cases rest
       in
       try_cases cases)
-  | For_each { src; var; body } -> (
-      match stream_foreach st env src var body with
-      | Some container -> container
-      | None ->
-          let subject, elems = eval_iterable st env src in
-          let members = eval_members st env var body elems in
-          make_container st ?subject (container_label src) members)
+  | For_each { src; var; body } ->
+      let subject, elems = eval_iterable st env src in
+      let members =
+        List.concat_map
+          (fun elem ->
+            let env = (var, elem) :: env in
+            let _, yields =
+              List.fold_left
+                (fun (env, acc) stmt ->
+                  match stmt with
+                  | Bind (n, e) -> ((n, eval st env e) :: env, acc)
+                  | Yield e -> (env, eval st env e :: acc))
+                (env, []) body
+            in
+            List.rev yields)
+          elems
+      in
+      make_container st ?subject (container_label src) members
   | Apply { name; anchor; args } -> eval_apply st env name anchor args
   | Method { recv = "Array"; meth = "selectFrom"; args } -> (
       match args with
@@ -568,328 +549,6 @@ let rec eval st env e : value =
       build_box st env ~bdef:"" ~btype:"" ~addr:(match this with Vnull -> 0 | v -> addr_of_value st v)
         ~views:[ { vname = "default"; vparent = None; vitems = items; vwhere = [] } ]
         ~bwhere:where
-
-and eval_elem st env var body elem =
-  let env = (var, elem) :: env in
-  let _, yields =
-    List.fold_left
-      (fun (env, acc) stmt ->
-        match stmt with
-        | Bind (n, e) -> ((n, eval st env e) :: env, acc)
-        | Yield e -> (env, eval st env e :: acc))
-      (env, []) body
-  in
-  List.rev yields
-
-(* The parallel split point: any wide For_each — a top-level root loop
-   or a container nested inside a box build — fans its element list out
-   over the domain pool; everything narrower or already inside a lane
-   evaluates sequentially in place.  Splits only ever happen on the
-   joining thread (a lane never re-splits), so the program-order lane
-   id counter stays race-free. *)
-and eval_members st env var body elems =
-  match st.pool with
-  | Some pool when st.lane = None && List.length elems >= par_fanout ->
-      eval_members_par st pool env var body elems
-  | _ -> List.concat_map (eval_elem st env var body) elems
-
-(* Fan a For_each body out over the pool.
-
-   The element list is cut into [min n par_max_shards] contiguous
-   shards — a function of the list alone, NEVER of the domain count, so
-   the lane structure (and with it every per-lane rng stream) is
-   identical across --domains 1/2/4.  Each shard runs against a fully
-   lane-local world: a {!Target.fork} (own Kmem overlay view, own
-   injection stream, own transport fork, own chaos hook), a
-   {!Vgraph.fork} (reads fall through to the pre-split graph), a fresh
-   plot cache, and an {!Obs.Lane} buffer.  The shared base state stays
-   quiescent until every shard has joined; then the shards merge
-   deterministically in lane order ({!merge_lane}), which makes the
-   merged graph, fault journal, counters and cache byte-identical
-   however many domains actually ran the shards. *)
-and eval_members_par st pool env var body elems =
-  let arr = Array.of_list elems in
-  let n = Array.length arr in
-  let nshards = min n par_max_shards in
-  let base = st.split_seq in
-  st.split_seq <- base + nshards;
-  let tasks =
-    List.init nshards (fun k ->
-        let lane = base + k + 1 in
-        let lo = k * n / nshards and hi = (k + 1) * n / nshards in
-        lane_task st env var body ~lane (Array.to_list (Array.sub arr lo (hi - lo))))
-  in
-  let shards = Dpool.run pool tasks in
-  List.concat_map
-    (fun (lst, lobs, members) -> merge_lane st lst lobs members)
-    shards
-
-(* One lane shard: the whole lane-local world — target fork, graph
-   fork, plot cache, obs buffer — is built on the submitting thread
-   (forks capture nothing the submitter later mutates), then the
-   returned thunk can run on any member, even while the submitter is
-   still producing later shards (streamed walks). *)
-and lane_task st env var body ~lane selems =
-  let lgraph = Vgraph.fork st.graph in
-  let lst =
-    { st with
-      tgt = Target.fork ~lane st.tgt;
-      graph = lgraph;
-      cache =
-        { pc_graph = lgraph; pc_entries = Hashtbl.create 64;
-          pc_by_box = Hashtbl.create 64; pc_run = 1 };
-      reuse_ok = false; bad = Hashtbl.create 8;
-      lane = Some lane; in_box = 0; split_seq = 0;
-      box_budget = st.box_budget;
-      hits = 0; misses = 0; invalidated = 0; rebuilt = [];
-      torn_sections = 0; retries = 0; repaired = 0; torn_boxes = 0 }
-  in
-  let lobs = Obs.Lane.make () in
-  fun () ->
-    let members =
-      Obs.Lane.scoped lobs (fun () ->
-          List.concat_map (eval_elem lst env var body) selems)
-    in
-    (* the lane's share of simulated wire time rides on its own
-       transport fork; report it so the pool's per-task timings —
-       and the schedule model built on them — price compute plus
-       wire cost per lane *)
-    (match Target.transport lst.tgt with
-    | Some ltr -> Dpool.charge (Transport.snapshot ltr).Transport.sim_ms
-    | None -> ());
-    (lst, lobs, members)
-
-(* Streamed (pipelined) List extraction.  A linked-list walk is an
-   inherently serial pointer chase — each [next] is a fresh wire
-   round-trip on a high-latency link — and materialize-then-split
-   leaves all of it as Amdahl serial remainder.  Here the walking
-   thread instead publishes each chunk of discovered nodes to the pool
-   the moment it is full, so idle domains build that chunk's boxes
-   while the walk is still chasing the tail; the walk's own wall + wire
-   cost is reported as one pool timing ({!Dpool.record}) — lane-0 work
-   the schedule model can overlap with the builds it feeds.
-
-   Guards: never inside a lane (no nested splits), never with a read
-   hook armed (a serial chaos mutator would race live lanes — eager
-   split keeps the parallel region quiescent), and lists shorter than
-   [par_fanout] fall back to the sequential path before any task is
-   submitted.  Chunking is a function of the discovery sequence alone
-   (fixed [par_fanout]-sized chunks, lane ids claimed in program
-   order), so the lane structure — and every per-lane rng stream — is
-   identical across --domains 1/2/4. *)
-and stream_foreach st env src var body =
-  match (src, st.pool) with
-  | Apply { name = "List"; args; _ }, Some pool
-    when st.lane = None && not (Target.read_hook_armed st.tgt) ->
-      let tv = target_arg st env args in
-      let subject = subject_of st tv in
-      let t0 = Unix.gettimeofday () in
-      let sim () =
-        match Target.transport st.tgt with
-        | Some tr -> (Transport.snapshot tr).Transport.sim_ms
-        | None -> 0.
-      in
-      let sim0 = sim () in
-      let b = Dpool.batch pool in
-      let committed = ref false in
-      let pending = ref [] and npending = ref 0 in
-      let flush () =
-        if !npending > 0 then begin
-          let selems = List.rev !pending in
-          pending := [];
-          npending := 0;
-          let lane = st.split_seq + 1 in
-          st.split_seq <- lane;
-          Dpool.add b (lane_task st env var body ~lane selems)
-        end
-      in
-      let emit v =
-        pending := v :: !pending;
-        incr npending;
-        if !npending >= par_fanout then begin
-          committed := true;
-          flush ()
-        end
-      in
-      let walk_exn =
-        distilled "viewcl.distill.list" @@ fun () ->
-        try
-          iter_list_emit st tv emit;
-          None
-        with e -> Some e
-      in
-      if not !committed then begin
-        (* narrow list: no task was submitted, evaluate in place *)
-        (match walk_exn with Some e -> raise e | None -> ());
-        let members = eval_members st env var body (List.rev !pending) in
-        Some (make_container st ?subject "List" members)
-      end
-      else begin
-        flush ();
-        Dpool.record pool (((Unix.gettimeofday () -. t0) *. 1000.) +. (sim () -. sim0));
-        (* drain before deciding the outcome: lanes must be quiescent
-           (and their timings recorded) on every path, so a walk that
-           raised still yields a deterministic pool state *)
-        match walk_exn with
-        | Some e ->
-            (try ignore (Dpool.join b) with _ -> ());
-            raise e
-        | None ->
-            let shards = Dpool.join b in
-            let members =
-              List.concat_map
-                (fun (lst, lobs, members) -> merge_lane st lst lobs members)
-                shards
-            in
-            Some (make_container st ?subject "List" members)
-      end
-  | _ -> None
-
-(* Deterministic join of one lane, called on the joining domain in lane
-   order.  Re-homes the lane's boxes into the shared graph/cache
-   (dedup'ing against boxes already built this run, exactly where the
-   sequential within-run memo would have shared them), absorbs the
-   lane's observability buffer and its target's journal/counters, and
-   returns the lane's yields remapped to shared box ids. *)
-and merge_lane st lst lobs members =
-  Obs.Lane.absorb lobs;
-  (* Lane ids to import: reachable from the yields, stopping at boxes
-     whose (def, addr) was already built this run — the within-run memo
-     hit.  Their subtrees were rebuilt by the lane (lanes are
-     isolated), but the shared copy wins and the duplicates are never
-     imported, mirroring a sequential run where the memo hit means the
-     subtree is never built at all. *)
-  let map = Hashtbl.create 64 in
-  let needed = Hashtbl.create 64 in
-  let rec visit id =
-    if Vgraph.is_local lst.graph id
-       && (not (Hashtbl.mem map id))
-       && not (Hashtbl.mem needed id)
-    then begin
-      let lb = Vgraph.get lst.graph id in
-      let dup =
-        if lb.Vgraph.bdef = "" then None
-        else
-          match Hashtbl.find_opt st.cache.pc_entries (lb.Vgraph.bdef, lb.Vgraph.addr) with
-          | Some e when e.e_run = st.cache.pc_run -> Some e.e_box
-          | _ -> None
-      in
-      match dup with
-      | Some shared -> Hashtbl.replace map id shared
-      | None ->
-          Hashtbl.replace needed id ();
-          List.iter visit (Vgraph.child_ids lb)
-    end
-  in
-  List.iter (function Vbox id -> visit id | _ -> ()) members;
-  (* Import in lane creation order (ascending lane id): shared-graph ids
-     come out in the same order a sequential run of this shard would
-     have assigned them. *)
-  let order = Hashtbl.fold (fun id () acc -> id :: acc) needed [] |> List.sort compare in
-  let fresh_entries = ref [] in
-  List.iter
-    (fun lid ->
-      let lb = Vgraph.get lst.graph lid in
-      let fresh () =
-        let b =
-          Vgraph.add_box st.graph ~btype:lb.Vgraph.btype ~bdef:lb.Vgraph.bdef
-            ~addr:lb.Vgraph.addr ~size:lb.Vgraph.size ~container:lb.Vgraph.container
-        in
-        (match Hashtbl.find_opt lst.cache.pc_by_box lid with
-        | Some le when lb.Vgraph.bdef <> "" ->
-            let e =
-              { e_box = b.Vgraph.id; e_name = lb.Vgraph.bdef; e_run = st.cache.pc_run;
-                e_vhash = le.e_vhash; e_def = le.e_def; e_pages = le.e_pages;
-                e_faulty = le.e_faulty }
-            in
-            Hashtbl.replace st.cache.pc_entries (lb.Vgraph.bdef, lb.Vgraph.addr) e;
-            Hashtbl.replace st.cache.pc_by_box e.e_box e
-        | _ -> ());
-        (b, true)
-      in
-      let pb, was_fresh =
-        if lb.Vgraph.bdef = "" then fresh ()
-        else
-          match Hashtbl.find_opt st.cache.pc_entries (lb.Vgraph.bdef, lb.Vgraph.addr) with
-          | Some e -> (
-              (* A stale entry from a previous run: rebuild in place
-                 under its existing id (reused neighbours' links stay
-                 valid), unless its frozen shape no longer matches. *)
-              match Vgraph.find st.graph e.e_box with
-              | Some b
-                when b.Vgraph.btype = lb.Vgraph.btype && b.Vgraph.size = lb.Vgraph.size ->
-                  Vgraph.reset_box b;
-                  e.e_run <- st.cache.pc_run;
-                  (b, false)
-              | Some _ | None ->
-                  Hashtbl.remove st.cache.pc_entries (lb.Vgraph.bdef, lb.Vgraph.addr);
-                  Hashtbl.remove st.cache.pc_by_box e.e_box;
-                  fresh ())
-          | None -> fresh ()
-      in
-      Hashtbl.replace map lid pb.Vgraph.id;
-      st.box_budget <- st.box_budget - 1;
-      fresh_entries := (lid, pb, was_fresh) :: !fresh_entries)
-    order;
-  (* Second pass: contents, with box references remapped (lane-local ids
-     through [map]; pre-split parent ids pass through unchanged). *)
-  let m id = match Hashtbl.find_opt map id with Some p -> p | None -> id in
-  let remap_item = function
-    | Vgraph.Text _ as it -> it
-    | Vgraph.Link { label; target } -> Vgraph.Link { label; target = Option.map m target }
-    | Vgraph.Inline { label; target } -> Vgraph.Inline { label; target = m target }
-  in
-  List.iter
-    (fun (lid, pb, was_fresh) ->
-      let lb = Vgraph.get lst.graph lid in
-      pb.Vgraph.views <-
-        List.map (fun (vn, items) -> (vn, List.map remap_item items)) lb.Vgraph.views;
-      pb.Vgraph.members <- List.map m lb.Vgraph.members;
-      Hashtbl.iter (fun k v -> Hashtbl.replace pb.Vgraph.fields k v) lb.Vgraph.fields;
-      (if was_fresh then begin
-         pb.Vgraph.attrs.Vgraph.view <- lb.Vgraph.attrs.Vgraph.view;
-         pb.Vgraph.attrs.Vgraph.trimmed <- lb.Vgraph.attrs.Vgraph.trimmed;
-         pb.Vgraph.attrs.Vgraph.collapsed <- lb.Vgraph.attrs.Vgraph.collapsed;
-         pb.Vgraph.attrs.Vgraph.direction <- lb.Vgraph.attrs.Vgraph.direction;
-         pb.Vgraph.attrs.Vgraph.extra <- lb.Vgraph.attrs.Vgraph.extra
-       end
-       else
-         (* In-place rebuild keeps the user's display refinements (what
-            reset_box preserved) and adopts only the lane's extraction
-            verdicts. *)
-         List.iter
-           (fun k ->
-             match List.assoc_opt k lb.Vgraph.attrs.Vgraph.extra with
-             | Some v ->
-                 pb.Vgraph.attrs.Vgraph.extra <-
-                   (k, v) :: List.remove_assoc k pb.Vgraph.attrs.Vgraph.extra
-             | None -> ())
-           [ "broken"; "torn"; "subject" ]);
-      (* Adopt the lane's cache entry: page stamps recorded through the
-         lane view equal the base generations unless lane chaos dirtied
-         the page first — in which case they mismatch the base and the
-         entry self-invalidates on the next warm run, exactly right
-         since the lane's (discarded) writes shaped its contents. *)
-      match (Hashtbl.find_opt st.cache.pc_by_box pb.Vgraph.id,
-             Hashtbl.find_opt lst.cache.pc_by_box lid)
-      with
-      | Some e, Some le ->
-          e.e_vhash <- le.e_vhash;
-          e.e_def <- le.e_def;
-          e.e_pages <- le.e_pages;
-          e.e_faulty <- le.e_faulty;
-          st.rebuilt <- pb.Vgraph.id :: st.rebuilt
-      | _ -> ())
-    (List.rev !fresh_entries);
-  st.hits <- st.hits + lst.hits;
-  st.misses <- st.misses + lst.misses;
-  st.invalidated <- st.invalidated + lst.invalidated;
-  st.torn_sections <- st.torn_sections + lst.torn_sections;
-  st.retries <- st.retries + lst.retries;
-  st.repaired <- st.repaired + lst.repaired;
-  st.torn_boxes <- st.torn_boxes + lst.torn_boxes;
-  Target.absorb st.tgt lst.tgt;
-  List.map (function Vbox id -> Vbox (m id) | v -> v) members
 
 and container_label = function
   | Apply { name; _ } -> name
@@ -1145,8 +804,6 @@ and build_box ?def st env ~bdef ~btype ~addr ~views ~bwhere =
 and build_box_raw ?def st env ~bdef ~btype ~addr ~views ~bwhere =
   if st.box_budget <= 0 then fail "plot exceeds %d boxes; refine the ViewCL program" max_boxes;
   st.box_budget <- st.box_budget - 1;
-  st.in_box <- st.in_box + 1;
-  Fun.protect ~finally:(fun () -> st.in_box <- st.in_box - 1) @@ fun () ->
   let size =
     if btype <> "" && Ctype.is_defined (Target.types st.tgt) btype then
       Ctype.sizeof (Target.types st.tgt) (Ctype.Named btype)
@@ -1376,8 +1033,7 @@ type result = {
   rebuilt : Vgraph.box_id list;  (** memoized boxes extracted this run, ascending *)
 }
 
-let run_exn ?(cfg = default_config) ?(defs = []) ?(limits = default_limits) ?cache ?pool tgt
-    program =
+let run_exn ?(cfg = default_config) ?(defs = []) ?(limits = default_limits) ?cache tgt program =
   Obs.with_span ~cat:"viewcl"
     ~attrs:[ ("stmts", string_of_int (List.length program)) ]
     "viewcl.run"
@@ -1390,8 +1046,6 @@ let run_exn ?(cfg = default_config) ?(defs = []) ?(limits = default_limits) ?cac
     { tgt; cfg; graph = cache.pc_graph; defs = Hashtbl.create 32; cache;
       reuse_ok = not (Kmem.injection_active (Target.mem tgt));
       bad = Hashtbl.create 32; limits; box_budget = max_boxes;
-      pool = (match pool with Some p when Dpool.size p >= 1 -> Some p | _ -> None);
-      lane = None; in_box = 0; split_seq = 0;
       hits = 0; misses = 0; invalidated = 0; rebuilt = [];
       torn_sections = 0; retries = 0; repaired = 0; torn_boxes = 0 }
   in
@@ -1451,6 +1105,5 @@ let run_exn ?(cfg = default_config) ?(defs = []) ?(limits = default_limits) ?cac
 
 (* Surface target-layer failures (bad member paths, derefs, ...) as
    ViewCL errors. *)
-let run ?cfg ?defs ?limits ?cache ?pool tgt program =
-  try run_exn ?cfg ?defs ?limits ?cache ?pool tgt program
-  with Invalid_argument m -> fail "%s" m
+let run ?cfg ?defs ?limits ?cache tgt program =
+  try run_exn ?cfg ?defs ?limits ?cache tgt program with Invalid_argument m -> fail "%s" m

@@ -44,13 +44,13 @@ let cache_pages = Interp.cache_pages
 
 (** Evaluate [src] against [tgt]. [prelude] supplies predefined Box
     definitions (the "standard library" of common kernel structures). *)
-let run ?cfg ?limits ?cache ?pool ?(prelude = []) tgt src =
+let run ?cfg ?limits ?cache ?(prelude = []) tgt src =
   let defs =
     List.concat_map
       (fun p -> List.filter_map (function Ast.Define d -> Some d | _ -> None) p)
       prelude
   in
-  Interp.run ?cfg ?limits ?cache ?pool ~defs tgt (parse src)
+  Interp.run ?cfg ?limits ?cache ~defs tgt (parse src)
 
 (** Count non-blank, non-comment source lines (the paper's Table 2 LoC
     metric for ViewCL programs). *)

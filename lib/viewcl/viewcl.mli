@@ -83,8 +83,8 @@ val cache_pages : cache -> Vgraph.box_id -> (int * int) list
     Empty for unknown ids. *)
 
 val run :
-  ?cfg:config -> ?limits:Interp.limits -> ?cache:cache -> ?pool:Dpool.t ->
-  ?prelude:Ast.program list -> Target.t -> string -> result
+  ?cfg:config -> ?limits:Interp.limits -> ?cache:cache -> ?prelude:Ast.program list ->
+  Target.t -> string -> result
 (** Evaluate a program against a live target. [prelude] supplies
     predefined Box definitions. Box construction is memoized per
     (definition, address), so shared objects become shared boxes and
@@ -99,16 +99,6 @@ val run :
     re-extracted in place under its existing id ([cache_invalidated]).
     Cross-run reuse disables itself while Kmem fault injection is armed,
     keeping injected runs byte-for-byte reproducible.
-
-    With [?pool] (see {!Dpool}), wide top-level [forEach] loops are
-    split into contiguous shards fanned out over the pool's domains:
-    each shard extracts against a fully lane-local world (forked
-    target, overlay graph, own rng streams) and the shards merge back
-    deterministically in lane order, so the resulting graph, fault
-    journal and counters are byte-identical whatever the pool size — a
-    1-pool executes the same lane structure on the caller and is the
-    identity baseline.  Omitting [?pool] keeps the classic unsharded
-    sequential path.
     @raise Error on failure. *)
 
 val loc_of : string -> int

@@ -212,16 +212,11 @@ module Chaos = struct
   type chaos = {
     wl : t;
     rate : float;  (** probability a performed read triggers one mutation *)
-    cseed : int;  (** the seed, kept for deriving per-lane streams *)
     mutable crng : int;
     mutable fired : int;  (** mutations performed so far *)
-    smux : Mutex.t;  (** guards [sfired] (lane hooks fire on any domain) *)
-    mutable sfired : int;  (** split-mode mutations fired across all lanes *)
   }
 
-  let create ?(seed = 0xC4405) wl ~rate =
-    { wl; rate; cseed = seed; crng = (seed * 2) + 1; fired = 0;
-      smux = Mutex.create (); sfired = 0 }
+  let create ?(seed = 0xC4405) wl ~rate = { wl; rate; crng = (seed * 2) + 1; fired = 0 }
 
   let crand c n =
     let x = c.crng in
@@ -274,76 +269,8 @@ module Chaos = struct
     end
 
   let arm c tgt = Target.set_read_hook tgt (Some (hook c))
-
-  (* Per-lane chaos streams (parallel extraction).  One xorshift64*
-     stream per lane, seeded [seed lxor lane], so a lane's mutation
-     sequence is a function of its lane id alone — identical across
-     --domains 1/2/4 by construction.  Lane mutations are write-only
-     stores (vruntime bumps, comm scribbles) at addresses precomputed
-     here through the base, performed through the lane's own Kmem view:
-     the shared base stays quiescent while lanes run, and no
-     allocation, timer or mmap path (all single-domain structures) is
-     ever touched from a worker domain. *)
-  let xs_next r =
-    let x = !r in
-    let x = x lxor (x lsr 12) in
-    let x = x lxor ((x lsl 25) land 0x3FFF_FFFF_FFFF_FFFF) in
-    let x = x lxor (x lsr 27) in
-    let x = x * 0x2545F4914F6CDD1D land 0x3FFF_FFFF_FFFF_FFFF in
-    r := x;
-    x
-
-  let xs_seed s =
-    let s = (s lxor 0x1E3779B97F4A7C15) land 0x3FFF_FFFF_FFFF_FFFF in
-    if s = 0 then 1 else s
-
-  let arm_split c tgt =
-    let ctx = c.wl.kernel.Kstate.ctx in
-    let spots =
-      c.wl.procs
-      |> List.map (fun (leader, _) ->
-             ( Kcontext.fld ctx leader "task_struct" "se.vruntime",
-               Kcontext.fld ctx leader "task_struct" "comm" ))
-      |> Array.of_list
-    in
-    (* Serial phases (traversals, merges) still race the classic hook
-       on the base target; only lane reads get the split streams. *)
-    Target.set_read_hook tgt (Some (hook c));
-    Target.set_hook_fork tgt
-      (Some
-         (fun ~lane view ->
-           if c.rate <= 0. || Array.length spots = 0 then None
-           else begin
-             let rng = ref (xs_seed (c.cseed lxor lane)) in
-             let draw n = xs_next rng mod n in
-             Some
-               (fun () ->
-                 if float_of_int (draw 1_000_000) /. 1_000_000. < c.rate then begin
-                   Mutex.lock c.smux;
-                   c.sfired <- c.sfired + 1;
-                   Mutex.unlock c.smux;
-                   let va, ca = spots.(draw (Array.length spots)) in
-                   match draw 8 with
-                   | 0 | 1 | 2 | 3 | 4 | 5 ->
-                       Kmem.write_u64 view va
-                         (Kmem.read_u64 view va + 1024 + draw 4096)
-                   | _ ->
-                       Kmem.write_cstring view ca ~field_size:16
-                         (Printf.sprintf "chaos-%d" (draw 1000))
-                 end)
-           end))
-
-  let disarm tgt =
-    Target.set_read_hook tgt None;
-    Target.set_hook_fork tgt None
-
+  let disarm tgt = Target.set_read_hook tgt None
   let fired c = c.fired
-
-  let split_fired c =
-    Mutex.lock c.smux;
-    let n = c.sfired in
-    Mutex.unlock c.smux;
-    n
 end
 
 (* ------------------------------------------------------------------ *)

@@ -60,26 +60,11 @@ module Chaos : sig
   val arm : chaos -> Target.t -> unit
   (** Install the chaos hook on the target. *)
 
-  val arm_split : chaos -> Target.t -> unit
-  (** Arm for parallel extraction: the classic hook races the base
-      target's (serial) reads, and a {!Target.set_hook_fork} forker
-      gives every extraction lane its own mutator — an xorshift64*
-      stream seeded [seed lxor lane], firing write-only mutations
-      (vruntime bumps, comm scribbles, at addresses precomputed here)
-      through the lane's own Kmem view.  A lane's mutation sequence is
-      a function of its lane id alone, so chaos-storm runs are
-      identical across [--domains 1/2/4]; the shared base memory stays
-      untouched by lane chaos. *)
-
   val disarm : Target.t -> unit
-  (** Remove the read hook and any lane forker from the target. *)
+  (** Remove any read hook from the target. *)
 
   val fired : chaos -> int
   (** Mutations performed so far. *)
-
-  val split_fired : chaos -> int
-  (** Mutations fired by the per-lane split streams (all lanes summed;
-      deterministic across domain counts). *)
 
   val hook : chaos -> unit -> unit
   (** The raw hook (exposed for tests driving it manually). *)

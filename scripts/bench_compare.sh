@@ -158,42 +158,6 @@ else
     fi
 fi
 
-# The ISSUE 10 parallel-extraction artifact: the cross-domain identity
-# asserts run in-process; here we require the artifact to prove the
-# 4-domain run actually happened and that the LPT schedule model
-# cleared its floor — a missing or 1-domain BENCH_par.json fails the
-# build.
-PAR="BENCH_par.json"
-if [ ! -f "$PAR" ]; then
-    echo "bench-compare: $PAR missing (run make par-smoke first)"
-    fail=1
-else
-    pdom=$(grep -o '"par.domains":[0-9.eE+-]*' "$PAR" | cut -d: -f2)
-    if [ -z "$pdom" ]; then
-        echo "bench-compare: $PAR has no par.domains gauge"
-        fail=1
-    else
-        awk -v d="$pdom" 'BEGIN {
-            printf "bench-compare: par.domains              %10.0f    (need     >= 4)\n", d;
-            exit (d >= 4) ? 0 : 1;
-        }' || fail=1
-    fi
-    speedup=$(grep -o '"par.speedup_4d":[0-9.eE+-]*' "$PAR" | cut -d: -f2)
-    if [ -z "$speedup" ]; then
-        echo "bench-compare: $PAR has no par.speedup_4d gauge"
-        fail=1
-    else
-        awk -v s="$speedup" 'BEGIN {
-            printf "bench-compare: par.speedup_4d           %10.2f    (need   >= 2.00)\n", s;
-            exit (s >= 2.0) ? 0 : 1;
-        }' || fail=1
-    fi
-    for g in par.serial_ms par.par_ms par.wall_speedup; do
-        grep -q "\"$g\":" "$PAR" \
-            || { echo "bench-compare: $PAR has no $g gauge"; fail=1; }
-    done
-fi
-
 # The ISSUE 9 crash-torture artifact: every identity/salvage assert
 # runs in-process; here we require the artifact to prove the torture
 # actually covered crash points, salvaged corruption, and timed its

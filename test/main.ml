@@ -22,7 +22,6 @@ let () =
       ("json+protocol", Test_json_protocol.suite);
       ("session", Test_session.suite);
       ("durable", Test_durable.suite);
-      ("par", Test_par.suite);
       ("digest", Test_digest.suite);
       ("health", Test_health.suite);
       ("trace", Test_trace.suite);

@@ -69,6 +69,26 @@ let test_clock_monotonic () =
   Alcotest.(check bool) "clock never decreases" true (t1 >= t0);
   Alcotest.(check bool) "elapsed non-negative" true (Obs.Clock.elapsed_ms t0 >= 0.)
 
+(* The clock's running max is shared across domains: no reader on any
+   domain may see time go backwards. *)
+let test_clock_concurrent_monotone () =
+  let worst = Atomic.make 0. in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            let prev = ref (Obs.Clock.now_ms ()) in
+            for _ = 1 to 10_000 do
+              let t = Obs.Clock.now_ms () in
+              if t < !prev then Atomic.set worst (!prev -. t);
+              prev := t
+            done;
+            !prev))
+  in
+  let finals = List.map Domain.join domains in
+  Alcotest.(check (float 0.)) "no domain saw time go backwards" 0. (Atomic.get worst);
+  let now = Obs.Clock.now_ms () in
+  List.iter (fun f -> Alcotest.(check bool) "running max holds" true (now >= f)) finals
+
 (* ------------------------------------------------------------------ *)
 (* Ring buffer *)
 
@@ -288,6 +308,7 @@ let suite =
       test_span_end_on_exception;
     Alcotest.test_case "profile rows aggregate across spans" `Quick test_profile_aggregation;
     Alcotest.test_case "clock is monotone" `Quick test_clock_monotonic;
+    Alcotest.test_case "clock: concurrent running max" `Quick test_clock_concurrent_monotone;
     Alcotest.test_case "ring overflow keeps the newest events" `Quick
       test_ring_overflow_keeps_newest;
     Alcotest.test_case "aggregates survive ring eviction" `Quick

@@ -177,14 +177,19 @@ let test_persistence () =
   let t = Panel.create () in
   let g, _, _, _ = mk_graph () in
   let p = Panel.open_primary t ~program:"define X..." g in
-  ignore (Panel.refine t ~at:p.Panel.pid "a = SELECT root FROM *\nUPDATE a WITH collapsed: true");
+  let q1 = "a = SELECT root FROM *\nUPDATE a WITH collapsed: true" in
+  let q2 = "a = SELECT root FROM *\nUPDATE a WITH collapsed: false" in
+  ignore (Panel.refine t ~at:p.Panel.pid q1);
+  ignore (Panel.refine t ~at:p.Panel.pid q2);
   let saved = Panel.saved_programs t in
   Alcotest.(check int) "one primary saved" 1 (List.length saved);
   let prog, hist = List.hd saved in
   Alcotest.(check string) "program" "define X..." prog;
-  Alcotest.(check int) "history" 1 (List.length hist);
+  Alcotest.(check (list string)) "history, oldest first" [ q1; q2 ] hist;
   let json = Panel.to_json t in
-  Alcotest.(check bool) "layout serialized" true (contains json "\"leaf\"")
+  Alcotest.(check bool) "layout serialized" true (contains json "\"leaf\"");
+  Alcotest.(check (list (pair string (list string)))) "json keeps replay order" saved
+    (Panel.programs_of_json json)
 
 let test_multi_tag_order () =
   (* status tags compose deterministically: [BROKEN], then [TORN], then
