@@ -863,20 +863,16 @@ let sessions_bench ~n ~rate ~rounds ~seed =
       check own_pane (own_fig i))
     sids;
   (* crash-safe fleet recovery: kill the server, replay every session's
-     journal into a fresh one over the same kernel — pane and box ids
-     come back *)
-  let snapshot = Session.save_fleet srv in
+     journal from its durable image into a fresh one over the same
+     kernel — pane and box ids come back *)
+  let image = Session.fleet_image srv in
   let recover_into () =
     let srv' = Session.create ~capacity:n kernel in
     Session.add_target srv' ~transport:(Transport.create ~seed Target.kgdb_rpi400) "wire";
-    let back = Session.recover_fleet srv' snapshot in
+    let back = (Session.recover_durable srv' image).Session.rsessions in
     assert (List.length back = n);
-    ( srv',
-      List.map
-        (function
-          | Session.Admitted (sid', _) -> sid'
-          | Session.Rejected { reason } -> failwith (Session.reason_to_string reason))
-        back )
+    assert (List.for_all (fun r -> r.Session.rsalvage = Session.Replayed) back);
+    (srv', List.map (fun r -> r.Session.rsid) back)
   in
   let srv2, sids2 = recover_into () in
   (* the live fleet's boxes carry ids from months of in-place adoption,
@@ -985,12 +981,6 @@ let sessions_bench ~n ~rate ~rounds ~seed =
    recovery; the script's `expect` lines are asserted at the end — the
    campaign-smoke CI gate. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let count_sub text sub =
   let nt = String.length text and ns = String.length sub in
   let c = ref 0 in
@@ -1010,7 +1000,7 @@ type phase_stats = {
 
 let campaign_bench ~file ~seed =
   let module C = Workload.Campaign in
-  let c = C.parse (read_file file) in
+  let c = C.parse (Durable.read_file file) in
   section
     (Printf.sprintf "Campaign %S: %d sessions on %s, %d ops, kgdb_rpi400 (seed %d)" c.C.cname
        c.C.csessions
@@ -1370,7 +1360,7 @@ let campaign_bench ~file ~seed =
    Zero exceptions anywhere, by construction of the assert soup. *)
 let crash_bench ~file ~seed =
   let module C = Workload.Campaign in
-  let c = C.parse (read_file file) in
+  let c = C.parse (Durable.read_file file) in
   let n = c.C.csessions in
   let nops = min c.C.cops 48 in
   section

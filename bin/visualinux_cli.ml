@@ -207,9 +207,9 @@ the shared target link — a refusal prints a typed reason, never a crash):
   session epoch          open a fresh budget/cache-stat epoch
   server status          targets, health/EWMA, breaker state, sessions
   server save <file>     checksummed durable image of the whole fleet
-  server recover <file>  fsck + replay a durable image (or legacy JSON
-                         snapshot) into this server; corrupt sessions
-                         come back salvaged/quarantined, never a crash
+  server recover <file>  fsck + replay a durable image into this
+                         server; corrupt sessions come back
+                         salvaged/quarantined, never a crash
   server fsck <file>     dry-run scan: checksum report + salvage plan
   vtop [k]               live fleet dashboard: target health, session
                          vitals, SLO burn rates, k slowest traces+links
@@ -231,7 +231,8 @@ the shared target link — a refusal prints a typed reason, never a crash):
   vverify <pane>         run the structural sanitizer on a pane; suspect
                          boxes gain [SUSPECT:<law>] tags in later shows
   figures                list library figures
-  save <file> / quit|exit
+  save <file>            same as server save <file>
+  quit | exit
 |}
 
 let repl_cmd =
@@ -526,12 +527,6 @@ let repl_cmd =
                 (List.length verdicts);
               Ok ())
       | "vverify" :: _ -> Error "usage: vverify <pane>"
-      | [ "save"; file ] ->
-          let oc = open_out file in
-          output_string oc (Panel.to_json s.Visualinux.panel);
-          close_out oc;
-          Printf.printf "session saved to %s\n" file;
-          Ok ()
       | [ "session"; "new"; name ] | [ "session"; "new"; name; _ ] ->
           let* faults =
             match words with
@@ -624,23 +619,13 @@ let repl_cmd =
       | [ "server"; "status" ] ->
           print_string (Session.status srv);
           Ok ()
-      | [ "server"; "save"; file ] ->
+      | [ "save"; file ] | [ "server"; "save"; file ] ->
           Durable.write_file file (Session.fleet_image srv);
           Printf.printf "durable fleet image written to %s\n" file;
           Ok ()
       | [ "server"; "recover"; file ] -> (
           match Durable.read_file file with
           | exception Sys_error e -> Error e
-          | image when String.length image > 0 && image.[0] = '{' ->
-              (* a legacy JSON fleet snapshot from an older `server save` *)
-              List.iter
-                (function
-                  | Session.Admitted (sid, stale) ->
-                      Printf.printf "session %d replayed (%d stale panes)\n" sid stale
-                  | Session.Rejected { reason } ->
-                      Printf.printf "refused: %s\n" (Session.reason_to_string reason))
-                (Session.recover_fleet srv image);
-              Ok ()
           | image ->
               print_string
                 (Session.recovery_to_string (Session.recover_durable srv image));
@@ -657,11 +642,7 @@ let repl_cmd =
                   Printf.printf "  would recover %-12s on %-8s as %s (%d ops)\n"
                     (Printf.sprintf "%S" s.Session.rname)
                     s.Session.rtarget
-                    (match s.Session.rsalvage with
-                    | Session.Replayed -> "replayed"
-                    | Session.Salvaged { dropped } ->
-                        Printf.sprintf "salvaged (%d ops dropped)" dropped
-                    | Session.Quarantined_stale -> "quarantined [STALE]")
+                    (Session.salvage_label s.Session.rsalvage)
                     s.Session.rops)
                 sessions;
               Ok ())

@@ -80,7 +80,6 @@ UPDATE task_all \ task_2 WITH collapsed: true
         s.Visualinux.target_pid (List.length hits)
   | _ -> ());
 
-  (* 7. Session state can be persisted and replayed. *)
-  Printf.printf "\nsession: %d primary panes persisted (%d bytes of JSON)\n"
-    (List.length (Panel.saved_programs s.Visualinux.panel))
-    (String.length (Panel.to_json s.Visualinux.panel))
+  (* 7. The op journal is the session: replaying it rebuilds every pane. *)
+  Printf.printf "\nsession: %d journaled ops, replayable into a fresh session\n"
+    (List.length (Panel.journal s.Visualinux.panel))

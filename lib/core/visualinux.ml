@@ -221,18 +221,13 @@ let vverify ?(mark = true) s ~pane =
     (Panel.pane_opt s.panel pane)
 
 (* ------------------------------------------------------------------ *)
-(* Session persistence: save pane programs + refinement histories and
-   replay them against a (possibly different) kernel state — "persisting
-   the state of panes and plots for reuse across debugging sessions". *)
+(* Replay pane programs + refinement histories against a (possibly
+   different) kernel state.  Persisting a session is the op journal's
+   job (see [recover] below and the session layer's durable WAL). *)
 
-let save_session s = Panel.to_json s.panel
-
-(** The replayable essence of a session: primary pane programs with their
-    refinement histories. *)
-let session_programs s = Panel.saved_programs s.panel
-
-(** Replay saved programs into [s] (typically a fresh session on a new
-    kernel): re-extracts each plot and re-applies its ViewQL history. *)
+(** Replay (program, ViewQL history) pairs into [s] (typically a fresh
+    session on a new kernel): re-extracts each plot and re-applies its
+    ViewQL history. *)
 let replay s programs =
   List.map
     (fun (program, history) ->

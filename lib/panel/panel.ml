@@ -70,6 +70,7 @@ let pane t id =
 let pane_opt t id = Hashtbl.find_opt t.panes id
 let pane_ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.panes [] |> List.sort compare
 let journal t = List.rev t.journal_rev
+let layout t = t.layout
 
 let op_label = function
   | Jopen _ -> "open"
@@ -306,63 +307,6 @@ let close t id =
   t.layout <- Option.join (Option.map prune t.layout)
 
 (* ------------------------------------------------------------------ *)
-(* Persistence: serialize programs + refinement history, so a debugging
-   session's views can be re-created against a (new) kernel state. *)
-
-let rec layout_to_json = function
-  | Leaf id -> Printf.sprintf "{\"leaf\":%d}" id
-  | Hsplit (a, b) -> Printf.sprintf "{\"h\":[%s,%s]}" (layout_to_json a) (layout_to_json b)
-  | Vsplit (a, b) -> Printf.sprintf "{\"v\":[%s,%s]}" (layout_to_json a) (layout_to_json b)
-
-let pane_to_json p =
-  let kind =
-    match p.kind with
-    | Primary { program } -> Printf.sprintf "\"program\":\"%s\"" (Vgraph.json_escape program)
-    | Secondary { source; picked } ->
-        Printf.sprintf "\"source\":%d,\"picked\":[%s]" source
-          (String.concat "," (List.map string_of_int picked))
-  in
-  Printf.sprintf "{\"id\":%d,%s,\"history\":[%s]}" p.pid kind
-    (String.concat "," (List.rev_map (fun h -> Printf.sprintf "\"%s\"" (Vgraph.json_escape h)) p.history))
-
-let to_json t =
-  Printf.sprintf "{\"layout\":%s,\"panes\":[%s]}"
-    (match t.layout with Some l -> layout_to_json l | None -> "null")
-    (String.concat "," (List.map (fun id -> pane_to_json (pane t id)) (pane_ids t)))
-
-(** Recover the replayable (program, history) pairs from a session JSON
-    produced by {!to_json}. *)
-let programs_of_json json =
-  let j = Json.parse json in
-  match Json.member "panes" j with
-  | Some (Json.List panes) ->
-      List.filter_map
-        (fun p ->
-          match Json.member "program" p with
-          | Some (Json.String program) ->
-              let history =
-                match Json.member "history" p with
-                | Some (Json.List hs) ->
-                    List.filter_map (function Json.String h -> Some h | _ -> None) hs
-                | _ -> []
-              in
-              Some (program, history)
-          | _ -> None)
-        panes
-  | _ -> []
-
-(** The (program, history) pairs of all primary panes — enough to replay a
-    session against a fresh target. *)
-let saved_programs t =
-  List.filter_map
-    (fun id ->
-      let p = pane t id in
-      match p.kind with
-      | Primary { program } -> Some (program, List.rev p.history)
-      | Secondary _ -> None)
-    (pane_ids t)
-
-(* ------------------------------------------------------------------ *)
 (* Crash-safe recovery: the journal is the session.  Serialize it after
    every op (it is cheap: one record per user action) and a crashed
    session can be rebuilt against a reconnected target by replaying. *)
@@ -387,38 +331,32 @@ let journal_to_json t =
   Printf.sprintf "{\"journal\":[%s]}"
     (String.concat "," (List.map op_to_json (journal t)))
 
+let op_of_json o =
+  let str k = Option.map Json.to_str (Json.member k o) in
+  let int k = Option.map Json.to_int (Json.member k o) in
+  match str "op" with
+  | Some "open" -> Option.map (fun program -> Jopen { program }) (str "program")
+  | Some "split" -> (
+      match (str "dir", int "at", str "program") with
+      | Some d, Some at, Some program ->
+          Some (Jsplit { dir = (if d = "v" then `Vertical else `Horizontal); at; program })
+      | _ -> None)
+  | Some "select" -> (
+      match (int "from", Json.member "picked" o) with
+      | Some from_, Some (Json.List ps) ->
+          Some (Jselect { from_; picked = List.map Json.to_int ps })
+      | _ -> None)
+  | Some "refine" -> (
+      match (int "at", str "viewql") with
+      | Some at, Some viewql -> Some (Jrefine { at; viewql })
+      | _ -> None)
+  | Some "close" -> Option.map (fun id -> Jclose { id }) (int "id")
+  | Some "reserve" -> Option.map (fun n -> Jreserve { n }) (int "n")
+  | _ -> None
+
 let journal_of_json json =
-  let j = Json.parse json in
-  match Json.member "journal" j with
-  | Some (Json.List ops) ->
-      List.filter_map
-        (fun o ->
-          let str k = Option.map Json.to_str (Json.member k o) in
-          let int k = Option.map Json.to_int (Json.member k o) in
-          match str "op" with
-          | Some "open" ->
-              Option.map (fun program -> Jopen { program }) (str "program")
-          | Some "split" -> (
-              match (str "dir", int "at", str "program") with
-              | Some d, Some at, Some program ->
-                  Some
-                    (Jsplit
-                       { dir = (if d = "v" then `Vertical else `Horizontal);
-                         at; program })
-              | _ -> None)
-          | Some "select" -> (
-              match (int "from", Json.member "picked" o) with
-              | Some from_, Some (Json.List ps) ->
-                  Some (Jselect { from_; picked = List.map Json.to_int ps })
-              | _ -> None)
-          | Some "refine" -> (
-              match (int "at", str "viewql") with
-              | Some at, Some viewql -> Some (Jrefine { at; viewql })
-              | _ -> None)
-          | Some "close" -> Option.map (fun id -> Jclose { id }) (int "id")
-          | Some "reserve" -> Option.map (fun n -> Jreserve { n }) (int "n")
-          | _ -> None)
-        ops
+  match Json.member "journal" (Json.parse json) with
+  | Some (Json.List ops) -> List.filter_map op_of_json ops
   | _ -> []
 
 (** Replay a journal against a reconnected target.  [extract] runs a

@@ -52,6 +52,9 @@ val pane_opt : t -> pane_id -> pane option
 
 val pane_ids : t -> pane_id list
 
+val layout : t -> layout option
+(** The current split tree; [None] once every pane is closed. *)
+
 val open_primary : ?stale:bool -> t -> program:string -> Vgraph.t -> pane
 (** Open a primary pane (splitting the root horizontally if the layout is
     non-empty). *)
@@ -75,30 +78,15 @@ val focus : t -> addr:int -> (pane_id * Vgraph.box_id) list
 val close : t -> pane_id -> unit
 (** Remove a pane and prune the layout tree. *)
 
-(** {1 Persistence} *)
-
-val layout_to_json : layout -> string
-val pane_to_json : pane -> string
-
-val to_json : t -> string
-(** Serialize layout + per-pane programs and refinement histories. *)
-
-val programs_of_json : string -> (string * string list) list
-(** Recover the replayable (program, history) pairs from {!to_json}
-    output. *)
-
-val saved_programs : t -> (string * string list) list
-(** Same, from a live session: every primary pane's ViewCL program and
-    its ViewQL history, oldest first — enough to replay against a fresh
-    target. *)
-
 (** {1 Crash-safe sessions}
 
     Every layout-mutating operation ({!open_primary}, {!split},
     {!select}, {!refine}, {!close}) checkpoints itself into an in-order
-    journal. Pane ids are assigned by replay order, so {!recover}
-    rebuilds the exact pre-crash layout — same ids, same histories —
-    against a reconnected target. *)
+    journal. The journal is the panel's only persisted form (the
+    session layer mirrors it into its durable WAL). Pane ids are
+    assigned by replay order, so {!recover} rebuilds the exact
+    pre-crash layout — same ids, same histories — against a
+    reconnected target. *)
 
 val journal : t -> op list
 (** The session's ops, oldest first. *)
@@ -126,6 +114,10 @@ val set_op_hook : t -> (op -> unit) option -> unit
 val journal_to_json : t -> string
 val journal_of_json : string -> op list
 val op_to_json : op -> string
+
+val op_of_json : Json.t -> op option
+(** Inverse of {!op_to_json} on a parsed value; [None] for an unknown
+    or incomplete op. *)
 
 val mark_all_stale : t -> unit
 (** Called when the target link drops: every pane's graph is now of

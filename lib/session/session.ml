@@ -180,6 +180,9 @@ let bump ?(by = 1) sess key =
     if Obs.enabled () then Obs.Metrics.incr ~by (ns sess key)
   end
 
+let session_ids srv =
+  Hashtbl.fold (fun sid _ acc -> sid :: acc) srv.sessions [] |> List.sort compare
+
 let counters srv sid =
   match Hashtbl.find_opt srv.sessions sid with
   | None -> []
@@ -239,13 +242,35 @@ let wal_append srv ~kind payload =
   | None -> ()
   | Some d -> ignore (Durable.append d ~kind ~payload)
 
-(* save_fleet is defined with the rest of the snapshot code below; the
-   journaling hooks only need to call it *)
-let wal_snapshot_ref : (server -> unit) ref = ref (fun _ -> ())
+(* The snapshot payload: every open session's name, target, budget,
+   fault config, opno and full op journal.  Recovery reads it back in
+   plan_image, below. *)
+let save_fleet srv =
+  let one sid =
+    let sess = Hashtbl.find srv.sessions sid in
+    Printf.sprintf
+      "{\"sid\":%d,\"name\":\"%s\",\"target\":\"%s\",\"weight\":%d,\"opno\":%d,\"budget\":%s,\"faults\":%s,\"jn\":%s}"
+      sid (Vgraph.json_escape sess.name)
+      (Vgraph.json_escape sess.shared.tname)
+      sess.weight sess.opno (budget_json sess.sbudget) (faults_json sess.sfaults)
+      (Panel.journal_to_json sess.vis.Visualinux.panel)
+  in
+  Printf.sprintf "{\"fleet\":[%s]}"
+    (String.concat "," (List.map one (session_ids srv)))
+
+let wal_snapshot srv =
+  match srv.wal with
+  | None -> ()
+  | Some d -> Durable.compact d ~kind:k_snapshot ~payload:(save_fleet srv)
+
+let fleet_image srv =
+  let d = Durable.create () in
+  ignore (Durable.append d ~kind:k_snapshot ~payload:(save_fleet srv));
+  Durable.contents d
 
 let maybe_snapshot srv =
   match srv.wal with
-  | Some d when Durable.tail_records d > srv.wal_limit -> !wal_snapshot_ref srv
+  | Some d when Durable.tail_records d > srv.wal_limit -> wal_snapshot srv
   | _ -> ()
 
 (* Mirror the session's panel-op stream into the WAL.  Re-armed after
@@ -270,12 +295,8 @@ let wal_open_payload sess =
 
 let attach_wal srv d =
   srv.wal <- Some d;
-  !wal_snapshot_ref srv;
+  wal_snapshot srv;
   Hashtbl.iter (fun _ sess -> arm_wal_hook srv sess) srv.sessions
-
-let detach_wal srv =
-  Hashtbl.iter (fun _ sess -> Panel.set_op_hook sess.vis.Visualinux.panel None) srv.sessions;
-  srv.wal <- None
 
 let wal_of srv = srv.wal
 let set_wal_snapshot_limit srv n = srv.wal_limit <- max 1 n
@@ -368,9 +389,6 @@ let close_session srv sid =
       | Probation p -> (
           p.waiting <- List.filter (fun s -> s <> sid) p.waiting;
           match p.waiting with [] -> sh.state <- Healthy | _ -> ()))
-
-let session_ids srv =
-  Hashtbl.fold (fun sid _ acc -> sid :: acc) srv.sessions [] |> List.sort compare
 
 let session_name srv sid =
   Option.map (fun s -> s.name) (Hashtbl.find_opt srv.sessions sid)
@@ -931,34 +949,6 @@ let recover_session srv sid =
 let refresh_stale srv sid =
   admit srv sid "refreshes" (fun sess -> Visualinux.refresh_stale sess.vis)
 
-(* ------------------------------------------------------------------ *)
-(* Fleet snapshot / recovery *)
-
-let save_fleet srv =
-  let one sid =
-    let sess = Hashtbl.find srv.sessions sid in
-    Printf.sprintf
-      "{\"sid\":%d,\"name\":\"%s\",\"target\":\"%s\",\"weight\":%d,\"opno\":%d,\"budget\":%s,\"faults\":%s,\"jn\":%s}"
-      sid (Vgraph.json_escape sess.name)
-      (Vgraph.json_escape sess.shared.tname)
-      sess.weight sess.opno (budget_json sess.sbudget) (faults_json sess.sfaults)
-      (Panel.journal_to_json sess.vis.Visualinux.panel)
-  in
-  Printf.sprintf "{\"fleet\":[%s]}"
-    (String.concat "," (List.map one (session_ids srv)))
-
-let wal_snapshot srv =
-  match srv.wal with
-  | None -> ()
-  | Some d -> Durable.compact d ~kind:k_snapshot ~payload:(save_fleet srv)
-
-let () = wal_snapshot_ref := wal_snapshot
-
-let fleet_image srv =
-  let d = Durable.create () in
-  ignore (Durable.append d ~kind:k_snapshot ~payload:(save_fleet srv));
-  Durable.contents d
-
 let budget_of_json j =
   let f k = match Json.member k j with Some (Json.Float x) -> Some x
     | Some (Json.Int n) -> Some (float_of_int n) | _ -> None in
@@ -993,9 +983,9 @@ let fleet_entry_of_json e =
   let str k = Option.map Json.to_str (Json.member k e) in
   let int k d = match Json.member k e with Some (Json.Int n) -> n | _ -> d in
   let ops =
-    match Json.member "jn" e with
-    | Some jn -> Panel.journal_of_json (Json.to_string jn)
-    | None -> []
+    match Option.bind (Json.member "jn" e) (Json.member "journal") with
+    | Some (Json.List l) -> List.filter_map Panel.op_of_json l
+    | _ -> []
   in
   { fe_sid = int "sid" 0;
     fe_name = Option.value ~default:"?" (str "name");
@@ -1009,28 +999,6 @@ let fleet_entry_of_json e =
       | None -> Transport.no_faults);
     fe_ops = ops;
     fe_opno = int "opno" (List.length ops) }
-
-let recover_fleet srv json =
-  let j = Json.parse json in
-  let entries =
-    match Json.member "fleet" j with Some (Json.List l) -> l | _ -> []
-  in
-  List.map
-    (fun e ->
-      let fe = fleet_entry_of_json e in
-      match
-        open_session ~budget:fe.fe_budget ~faults:fe.fe_faults ~weight:fe.fe_weight
-          ~target:fe.fe_target srv fe.fe_name
-      with
-      | Rejected r -> Rejected r
-      | Admitted sid -> (
-          match
-            admit srv sid "recovers" (fun sess ->
-                Visualinux.recover ~ops:fe.fe_ops sess.vis)
-          with
-          | Rejected r -> Rejected r
-          | Admitted stale -> Admitted (sid, stale)))
-    entries
 
 (* ------------------------------------------------------------------ *)
 (* Durable recovery: fsck the image, then replay per-session op chains.
@@ -1089,17 +1057,7 @@ let plan_image image =
     | None -> ()
     | Some sid -> (
         let opno = match Json.member "opno" j with Some (Json.Int n) -> n | _ -> 0 in
-        let op =
-          match Json.member "op" j with
-          | Some o -> (
-              match
-                Panel.journal_of_json
-                  (Printf.sprintf "{\"journal\":[%s]}" (Json.to_string o))
-              with
-              | [ op ] -> Some op
-              | _ -> None)
-          | None -> None
-        in
+        let op = Option.bind (Json.member "op" j) Panel.op_of_json in
         let e = match Hashtbl.find_opt entries sid with Some e -> e | None -> ghost sid in
         if e.e_ghost then (
           (* a ghost's ids are untrustworthy anyway: keep what we have *)

@@ -40,8 +40,9 @@
     cannot provoke a retry storm; an exhausted bucket degrades the read
     to a [Timed_out] fault, never an exception.
 
-    {e Crash-safe fleet recovery}: {!save_fleet} serializes every
-    session's op journal; {!recover_fleet} replays them into a fresh
+    {e Crash-safe fleet recovery}: the durable WAL is the fleet's one
+    on-disk format.  {!fleet_image} writes every session's op journal
+    as a snapshot record; {!recover_durable} replays them into a fresh
     server, reproducing each session's pane and box ids. *)
 
 type sid = int
@@ -227,30 +228,14 @@ val wire_ms : server -> sid -> float
 val reads_used : server -> sid -> int
 
 (* ------------------------------------------------------------------ *)
-(** {1 Fleet recovery} *)
-
-val save_fleet : server -> string
-(** JSON snapshot of every open session: name, target, budget, fault
-    config and full op journal. *)
-
-val recover_fleet : server -> string -> (sid * int) outcome list
-(** Rebuild the fleet from a {!save_fleet} snapshot into [server]
-    (typically a fresh one over the same kernel, with the same target
-    names registered).  Each session is re-admitted — capacity applies —
-    and its journal replayed under its own fault config and budget;
-    pane ids are reproduced by replay order and box ids by
-    deterministic re-extraction.  Returns, per saved session, the new
-    sid and its stale-pane count. *)
-
-(* ------------------------------------------------------------------ *)
 (** {1 Durable fleet state (crash consistency)}
 
     Attach a {!Durable} store and every fleet lifecycle event
     (open/close/budget/quarantine) plus every checkpointed panel op is
     appended as a checksummed, generation-stamped WAL record; past the
-    snapshot limit the stream compacts into a snapshot segment (a
-    {!save_fleet} image, its journals already [Jreserve]-compacted)
-    plus a fresh tail.  {!recover_durable} is the fsck-style inverse:
+    snapshot limit the stream compacts into a snapshot segment (every
+    session's name, target, budget, fault config and op journal, the
+    journals already [Jreserve]-compacted) plus a fresh tail.  {!recover_durable} is the fsck-style inverse:
     it scans whatever bytes survived a crash, replays each session's
     intact op chain, and degrades the rest to a {e typed} per-session
     outcome — never an exception, never cross-session contamination. *)
@@ -260,7 +245,6 @@ val attach_wal : server -> Durable.t -> unit
     as the first segment (dropping any prior store contents), then taps
     every session's panel-op stream. *)
 
-val detach_wal : server -> unit
 val wal_of : server -> Durable.t option
 
 val set_wal_snapshot_limit : server -> int -> unit
@@ -272,7 +256,8 @@ val wal_snapshot : server -> unit
 
 val fleet_image : server -> string
 (** A one-record durable image of the fleet (a snapshot, framed and
-    checksummed) — what [server save] writes to disk. *)
+    checksummed) — what [server save] writes to disk and
+    {!recover_durable} reads back. *)
 
 val corrupt_wal : server -> bool
 (** Flip one seeded bit inside an attached WAL's op record — the
@@ -299,13 +284,21 @@ type recovery = { rreport : Durable.report; rsessions : srecovery list; rms : fl
 
 val recover_durable : server -> string -> recovery
 (** Fsck [image] and rebuild the fleet into [server] (a fresh one over
-    the same kernel, same target names).  Emits a [session.recovered]
+    the same kernel, same target names).  Each session is re-admitted —
+    capacity applies — and its journal replayed under its own fault
+    config and budget; pane ids are reproduced by replay order and box
+    ids by deterministic re-extraction.  Emits a [session.recovered]
     span per session and the [recovery.*] counters; never raises on
-    corrupt input. *)
+    corrupt input — bytes that are not a WAL at all come back as a
+    torn tail with no sessions recovered. *)
 
 val fsck_image : string -> Durable.report * srecovery list
 (** The dry run: fsck + the per-session plan, nothing replayed
     ([rstale] is 0).  What [server fsck] prints. *)
+
+val salvage_label : salvage -> string
+(** ["replayed"], ["salvaged (N ops dropped)"] or
+    ["quarantined [STALE]"]. *)
 
 val recovery_to_string : recovery -> string
 val last_recovery : server -> recovery option

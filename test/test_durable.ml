@@ -341,6 +341,37 @@ let snapshot_corruption_quarantines () =
     rcv.Session.rsessions;
   Alcotest.(check bool) "still one session" true (rcv.Session.rsessions <> [])
 
+(* The WAL is the only on-disk format: a fleet JSON snapshot written
+   by an older `server save` is not a record stream, so fsck reports it
+   as one torn tail and nothing is replayed. *)
+let fleet_json_is_not_a_wal () =
+  let kernel = boot () in
+  let json =
+    Printf.sprintf
+      "{\"fleet\":[{\"sid\":1,\"name\":\"alice\",\"target\":\"t0\",\"weight\":1,\
+       \"opno\":2,\"budget\":{\"max_reads\":null,\"max_sim_ms\":null,\
+       \"plot_deadline_ms\":null,\"retry_burst\":null},\
+       \"faults\":{\"stall\":0,\"drop\":0,\"disconnect\":0},\
+       \"jn\":{\"journal\":[{\"op\":\"open\",\"program\":\"%s\"},\
+       {\"op\":\"refine\",\"at\":1,\"viewql\":\"%s\"}]}}]}"
+      (Vgraph.json_escape (fig "3-6"))
+      (Vgraph.json_escape ql_collapse)
+  in
+  let check_report what (r : Durable.report) =
+    Alcotest.(check int) (what ^ ": no record parses") 0 r.Durable.records_ok;
+    Alcotest.(check int) (what ^ ": every byte is torn tail") (String.length json)
+      r.Durable.torn_bytes
+  in
+  let report, plan = Session.fsck_image json in
+  check_report "fsck" report;
+  Alcotest.(check int) "fsck plans no session" 0 (List.length plan);
+  let srv = Session.create kernel in
+  let before = Session.session_ids srv in
+  let rcv = Session.recover_durable srv json in
+  check_report "recover" rcv.Session.rreport;
+  Alcotest.(check int) "no session recovered" 0 (List.length rcv.Session.rsessions);
+  Alcotest.(check (list int)) "session table unchanged" before (Session.session_ids srv)
+
 let suite =
   [ Alcotest.test_case "record soup round-trips through fsck" `Quick roundtrip;
     Alcotest.test_case "truncation at every offset is survivable" `Quick truncate_everywhere;
@@ -358,4 +389,6 @@ let suite =
     Alcotest.test_case "journal corruption stays inside the owning session" `Quick
       corrupt_isolation;
     Alcotest.test_case "an unsalvageable snapshot quarantines, never crashes" `Quick
-      snapshot_corruption_quarantines ]
+      snapshot_corruption_quarantines;
+    Alcotest.test_case "a fleet JSON snapshot is a torn tail, never replayed" `Quick
+      fleet_json_is_not_a_wal ]

@@ -148,20 +148,6 @@ let test_dispatch_errors () =
   | Protocol.Error _ -> ()
   | _ -> Alcotest.fail "missing pane should produce a protocol error"
 
-let test_panel_json_restore () =
-  let s = mk_session () in
-  let fig = Option.get (Scripts.find "3-4") in
-  let pane, _, _ = Visualinux.plot_figure s fig in
-  ignore
-    (Panel.refine s.Visualinux.panel ~at:pane.Panel.pid
-       "a = SELECT task_struct FROM *\nUPDATE a WITH collapsed: true");
-  let json = Panel.to_json s.Visualinux.panel in
-  let restored = Panel.programs_of_json json in
-  Alcotest.(check int) "one program" 1 (List.length restored);
-  let prog, hist = List.hd restored in
-  Alcotest.(check string) "program preserved" fig.Scripts.source prog;
-  Alcotest.(check int) "history preserved" 1 (List.length hist)
-
 (* ---------------- HTML ---------------- *)
 
 let test_html_renderer () =
@@ -203,6 +189,5 @@ let suite =
     Alcotest.test_case "protocol request roundtrip" `Quick test_request_roundtrip;
     Alcotest.test_case "protocol dispatch plot/apply/chat" `Quick test_dispatch_plot_apply;
     Alcotest.test_case "protocol errors" `Quick test_dispatch_errors;
-    Alcotest.test_case "panel json restore" `Quick test_panel_json_restore;
     Alcotest.test_case "html renderer" `Quick test_html_renderer;
     Alcotest.test_case "html escaping" `Quick test_html_escaping ]

@@ -106,14 +106,10 @@ let test_deep_layout_json () =
   let p1 = Panel.open_primary t ~program:"a" g1 in
   let p2 = Panel.split t ~dir:`Horizontal ~at:p1.Panel.pid ~program:"b" g2 in
   let _p3 = Panel.split t ~dir:`Vertical ~at:p2.Panel.pid ~program:"c" g3 in
-  let json = Panel.to_json t in
   (* the layout nests: h(p1, v(p2, p3)) *)
-  let j = Json.parse json in
-  (match Json.member_exn "layout" j with
-  | Json.Obj [ ("h", Json.List [ _; Json.Obj [ ("v", _) ] ]) ] -> ()
-  | other -> Alcotest.failf "unexpected layout shape: %s" (Json.to_string other));
-  Alcotest.(check int) "three panes serialized" 3
-    (List.length (Json.to_list (Json.member_exn "panes" j)))
+  Alcotest.(check bool) "layout is h(1, v(2, 3))" true
+    (Panel.layout t = Some (Panel.Hsplit (Panel.Leaf 1, Panel.Vsplit (Panel.Leaf 2, Panel.Leaf 3))));
+  Alcotest.(check int) "three panes" 3 (List.length (Panel.pane_ids t))
 
 let test_pane_tree () =
   let t = Panel.create () in
@@ -181,15 +177,21 @@ let test_persistence () =
   let q2 = "a = SELECT root FROM *\nUPDATE a WITH collapsed: false" in
   ignore (Panel.refine t ~at:p.Panel.pid q1);
   ignore (Panel.refine t ~at:p.Panel.pid q2);
-  let saved = Panel.saved_programs t in
-  Alcotest.(check int) "one primary saved" 1 (List.length saved);
-  let prog, hist = List.hd saved in
-  Alcotest.(check string) "program" "define X..." prog;
-  Alcotest.(check (list string)) "history, oldest first" [ q1; q2 ] hist;
-  let json = Panel.to_json t in
-  Alcotest.(check bool) "layout serialized" true (contains json "\"leaf\"");
-  Alcotest.(check (list (pair string (list string)))) "json keeps replay order" saved
-    (Panel.programs_of_json json)
+  (* the journal is the persisted session: replaying it rebuilds the
+     pane, its program and its refinement history *)
+  let extract _ =
+    let g, _, _, _ = mk_graph () in
+    Some g
+  in
+  let t', stale = Panel.recover ~extract (Panel.journal t) in
+  Alcotest.(check int) "nothing stale" 0 stale;
+  Alcotest.(check (list int)) "one pane recovered" [ p.Panel.pid ] (Panel.pane_ids t');
+  Alcotest.(check bool) "layout recovered" true (Panel.layout t' = Some (Panel.Leaf p.Panel.pid));
+  let p' = Panel.pane t' p.Panel.pid in
+  (match p'.Panel.kind with
+  | Panel.Primary { program } -> Alcotest.(check string) "program" "define X..." program
+  | Panel.Secondary _ -> Alcotest.fail "expected primary");
+  Alcotest.(check (list string)) "history, oldest first" [ q1; q2 ] (List.rev p'.Panel.history)
 
 let test_multi_tag_order () =
   (* status tags compose deterministically: [BROKEN], then [TORN], then

@@ -76,6 +76,16 @@ let arb_ops =
            ops))
     op_gen
 
+(* What a replay must reproduce: the split tree, and per pane its kind
+   (program, or source + picked boxes) and ViewQL history. *)
+let panel_shape t =
+  ( Panel.layout t,
+    List.map
+      (fun id ->
+        let p = Panel.pane t id in
+        (id, p.Panel.kind, p.Panel.history))
+      (Panel.pane_ids t) )
+
 let compaction_replay_equivalence =
   QCheck.Test.make ~name:"compacted journal replays to the identical panel" ~count:200
     arb_ops
@@ -86,7 +96,7 @@ let compaction_replay_equivalence =
       let t2, _ = Panel.recover ~extract compacted in
       List.length compacted <= List.length ops
       && Panel.pane_ids t1 = Panel.pane_ids t2
-      && Panel.to_json t1 = Panel.to_json t2)
+      && panel_shape t1 = panel_shape t2)
 
 let test_compaction_drops_churn () =
   (* open/close churn around one survivor: everything but the survivor's
@@ -371,15 +381,17 @@ let test_fleet_recovery () =
     List.map (fun sid -> (sid, pane_state (Option.get (Session.vis srv sid))))
       (Session.session_ids srv)
   in
-  let snapshot = Session.save_fleet srv in
+  let image = Session.fleet_image srv in
   (* the server dies; a fresh one recovers the whole fleet *)
   let srv2 = mk () in
-  let outcomes = Session.recover_fleet srv2 snapshot in
-  let recovered = List.map (function
-    | Session.Admitted (sid, stale) -> (sid, stale)
-    | Session.Rejected { reason } ->
-        Alcotest.failf "fleet recovery refused: %s" (Session.reason_to_string reason))
-    outcomes
+  let recovered =
+    List.map
+      (fun r ->
+        if r.Session.rsalvage <> Session.Replayed then
+          Alcotest.failf "session %S came back %s" r.Session.rname
+            (Session.salvage_label r.Session.rsalvage);
+        (r.Session.rsid, r.Session.rstale))
+      (Session.recover_durable srv2 image).Session.rsessions
   in
   Alcotest.(check (list int)) "every session re-admitted under its old sid" [ a; b ]
     (List.map fst recovered);

@@ -252,21 +252,28 @@ let test_session_replay () =
   let _, _, s1 = session () in
   let sc = Option.get (Scripts.find "7-1") in
   let pane, _, _ = Visualinux.plot_figure s1 sc in
-  ignore
-    (Panel.refine s1.Visualinux.panel ~at:pane.Panel.pid
-       "a = SELECT task_struct FROM *\nUPDATE a WITH collapsed: true");
-  let saved = Visualinux.session_programs s1 in
-  Alcotest.(check int) "one pane saved" 1 (List.length saved);
-  (* replay on a brand-new kernel *)
+  let ql = "a = SELECT task_struct FROM *\nUPDATE a WITH collapsed: true" in
+  ignore (Panel.refine s1.Visualinux.panel ~at:pane.Panel.pid ql);
+  let collapsed_tasks g =
+    let tasks = Vgraph.of_type g "task_struct" in
+    tasks <> [] && List.for_all (fun b -> b.Vgraph.attrs.Vgraph.collapsed) tasks
+  in
+  (* replay the program + history on a brand-new kernel *)
   let _, _, s2 = session () in
-  (match Visualinux.replay s2 saved with
+  (match Visualinux.replay s2 [ (sc.Scripts.source, [ ql ]) ] with
   | [ (_, res) ] ->
       let tasks = Vgraph.of_type res.Viewcl.graph "task_struct" in
       Alcotest.(check bool) "plot re-extracted" true (tasks <> []);
-      Alcotest.(check bool) "history re-applied" true
-        (List.for_all (fun b -> b.Vgraph.attrs.Vgraph.collapsed) tasks)
+      Alcotest.(check bool) "history re-applied" true (collapsed_tasks res.Viewcl.graph)
   | _ -> Alcotest.fail "replay failed");
-  Alcotest.(check bool) "json serializes" true (String.length (Visualinux.save_session s1) > 50)
+  (* the journal is the persisted session: recover it on a fresh boot *)
+  let journal = Panel.journal s1.Visualinux.panel in
+  Alcotest.(check int) "journal holds the plot and its refinement" 2 (List.length journal);
+  let _, _, s3 = session () in
+  Alcotest.(check int) "no stale panes" 0 (Visualinux.recover ~ops:journal s3);
+  let p3 = Panel.pane s3.Visualinux.panel pane.Panel.pid in
+  Alcotest.(check (list string)) "history recovered" [ ql ] p3.Panel.history;
+  Alcotest.(check bool) "recovered plot refined" true (collapsed_tasks p3.Panel.graph)
 
 (* Extraction is deterministic: same seed, same kernel, same rendered
    figure — byte for byte (addresses included). *)
