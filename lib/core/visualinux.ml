@@ -283,11 +283,9 @@ let recover ?ops s =
   (* Journal replay rebuilds every pane from scratch (and reassigns pane
      ids as the ops are replayed), so the per-pane caches are dead
      weight — drop them rather than risk pairing a cache with the wrong
-     pane.  The read-cache hit/miss counters restart with them: a
-     recovery opens a fresh cache epoch, so hit-rate reporting never
-     mixes pre- and post-recovery traffic. *)
+     pane.  The target's read-cache counters stay monotone: the target
+     may be shared, and its consumers take deltas. *)
   Hashtbl.reset s.caches;
-  Target.reset_cache_stats s.target;
   let ops = match ops with Some o -> o | None -> Panel.journal s.panel in
   let panel, stale = Panel.recover ~extract:(extract_for s) ops in
   s.panel <- panel;

@@ -825,8 +825,7 @@ let metrics_json ?(extra = []) () =
   Buffer.add_char buf ',';
   (* histogram exemplars: per-bucket most recent trace id, so a p95
      outlier in a bench table can name the trace behind it.  Array
-     values (no nested object directly after the histogram name) keep
-     the artifact greppable by the bench_compare field extractor. *)
+     values keep each histogram's summary object flat. *)
   Buffer.add_string buf
     (kv_block "exemplars"
        (List.filter_map

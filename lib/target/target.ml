@@ -310,11 +310,6 @@ type cache_stats = { hits : int; misses : int; coalesced : int }
 
 let cache_stats t = { hits = t.ch_hits; misses = t.ch_misses; coalesced = t.ch_coalesced }
 
-let reset_cache_stats t =
-  t.ch_hits <- 0;
-  t.ch_misses <- 0;
-  t.ch_coalesced <- 0
-
 let set_read_cache t on =
   t.cache_on <- on;
   if not on then Hashtbl.reset t.rcache

@@ -249,10 +249,9 @@ type cache_stats = { hits : int; misses : int; coalesced : int }
     without a round-trip (all pages generation-fresh), [misses] =
     checked reads that went to the wire, [coalesced] = whole-struct
     prefetch fetches.  All zero when no transport is attached — local
-    reads bypass the cache entirely. *)
+    reads bypass the cache entirely.  Monotone: callers take deltas. *)
 
 val cache_stats : t -> cache_stats
-val reset_cache_stats : t -> unit
 
 val set_read_cache : t -> bool -> unit
 (** Enable/disable the read cache (default: enabled).  Disabling also

@@ -9,7 +9,7 @@
 # target read while disabled), not to benchmark precisely.
 set -eu
 
-BUDGET="${OBS_SMOKE_BUDGET:-2.0}"
+BUDGET=2.0
 ARGS="--fault-rate 0.0,0.05 --profile kgdb_rpi400 --deadline-ms 500 --seed 7"
 BIN="_build/default/bench/main.exe"
 

@@ -42,11 +42,16 @@ let test_repeat_plot_skips_transport () =
   let pane, _, _ = Visualinux.vplot s (source "3-4") in
   let cold_ok = (Transport.snapshot tr).Transport.reads_ok in
   Alcotest.(check bool) "cold plot fetched" true (cold_ok > 0);
-  Target.reset_cache_stats s.Visualinux.target;
+  let cs0 = Target.cache_stats s.Visualinux.target in
   (match Visualinux.vrefresh s ~pane:pane.Panel.pid with
   | None -> Alcotest.fail "vrefresh failed"
   | Some (res, stats) ->
-      let cs = Target.cache_stats s.Visualinux.target in
+      let cs1 = Target.cache_stats s.Visualinux.target in
+      let cs =
+        { Target.hits = cs1.Target.hits - cs0.Target.hits;
+          misses = cs1.Target.misses - cs0.Target.misses;
+          coalesced = cs1.Target.coalesced - cs0.Target.coalesced }
+      in
       Alcotest.(check bool) "warm refresh adopted boxes" true (stats.Visualinux.cache_hits > 0);
       Alcotest.(check int) "nothing invalidated without writes" 0
         stats.Visualinux.cache_invalidated;

@@ -345,7 +345,19 @@ let test_cross_session_cache_hits () =
   Alcotest.(check bool) "b hits a's warmed cache beyond its solo self-hits" true
     (Session.counter shared b "cache.hits" > Session.counter solo b0 "cache.hits");
   Alcotest.(check bool) "and spends fewer wire reads than solo" true
-    (Session.counter shared b "reads" < Session.counter solo b0 "reads")
+    (Session.counter shared b "reads" < Session.counter solo b0 "reads");
+  (* recovering one session must not rewind the shared target's read-cache
+     counters: every session's counters are deltas of them *)
+  let tgt = (Option.get (Session.vis shared b)).Visualinux.target in
+  let cs0 = Target.cache_stats tgt in
+  ignore (admitted (Session.recover_session shared b));
+  let cs1 = Target.cache_stats tgt in
+  Alcotest.(check bool) "recovery leaves counters non-negative and cache stats monotone" true
+    (List.for_all
+       (fun sid -> List.for_all (fun (_, v) -> v >= 0) (Session.counters shared sid))
+       [ a; b ]
+    && cs1.Target.hits >= cs0.Target.hits
+    && cs1.Target.misses >= cs0.Target.misses)
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safe fleet recovery *)
