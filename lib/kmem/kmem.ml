@@ -94,14 +94,6 @@ let touch mem a n =
 let generation mem = mem.gen
 let page_generation mem p = Option.value (Hashtbl.find_opt mem.page_gen p) ~default:0
 
-let range_generation mem a n =
-  let first = a lsr page_bits and last = (a + max n 1 - 1) lsr page_bits in
-  let acc = ref 0 in
-  for p = first to last do
-    acc := max !acc (page_generation mem p)
-  done;
-  !acc
-
 let alloc mem ?(align = 16) ~tag size =
   let size = max size 1 in
   let base = (mem.cursor + align - 1) land lnot (align - 1) in

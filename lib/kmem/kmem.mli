@@ -108,11 +108,6 @@ val page_generation : t -> int -> int
     mutation touching page index [p] (addresses [a] with
     [a lsr page_bits = p]); [0] if never touched.  Monotone per page. *)
 
-val range_generation : t -> addr -> int -> int
-(** [range_generation mem a n] — max of {!page_generation} over the
-    pages overlapping [\[a, a+n)]: the generation of the most recent
-    store into the range.  Recording it before a read and comparing
-    after detects any racing store. *)
 
 (** {1 Fault injection}
 

@@ -425,7 +425,7 @@ let begin_epoch srv sid =
       s.sreads <- 0;
       s.ssim_ms <- 0.;
       s.rb_tokens <- Option.value ~default:0 s.sbudget.retry_burst;
-      List.iter (Hashtbl.remove s.tab) [ "cache.hits"; "cache.misses"; "cache.coalesced" ];
+      List.iter (Hashtbl.remove s.tab) [ "cache.hits"; "cache.misses" ];
       bump s "epochs")
     (Hashtbl.find_opt srv.sessions sid)
 
@@ -796,7 +796,6 @@ let run_isolated srv ~route sess f =
     let cs1 = Target.cache_stats tgt in
     bump ~by:(cs1.Target.hits - cs0.Target.hits) sess "cache.hits";
     bump ~by:(cs1.Target.misses - cs0.Target.misses) sess "cache.misses";
-    bump ~by:(cs1.Target.coalesced - cs0.Target.coalesced) sess "cache.coalesced";
     bump sess "ops";
     let sim_delta =
       match (tr_opt, snap0) with

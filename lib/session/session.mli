@@ -205,7 +205,7 @@ val refresh_stale : server -> sid -> Panel.pane_id list outcome
 val counters : server -> sid -> (string * int) list
 (** The session's private counter namespace, sorted by name: [plots],
     [refreshes], [ctrls], [reads], [faults], [cache.hits],
-    [cache.misses], [cache.coalesced], [rejections], [budget.refusals],
+    [cache.misses], [rejections], [budget.refusals],
     [probes], [canaries], [hedged.ops], [retry.denied],
     [stale.renders], [epochs], [recovers].  Only this session's ops
     move them.  Mirrored as Obs counters [session.<sid>.<name>] when

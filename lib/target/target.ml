@@ -55,7 +55,6 @@ type t = {
   mutable cache_on : bool;
   mutable ch_hits : int;
   mutable ch_misses : int;
-  mutable ch_coalesced : int;
 }
 
 and helper = t -> value list -> value
@@ -78,7 +77,6 @@ let create kmem reg =
     cache_on = true;
     ch_hits = 0;
     ch_misses = 0;
-    ch_coalesced = 0;
   }
 
 let mem t = t.kmem
@@ -213,6 +211,9 @@ let section_pages sec =
   Hashtbl.fold (fun p stamp acc -> (p, stamp) :: acc) sec.sec_pages []
   |> List.sort compare
 
+let pages_current t pages =
+  List.for_all (fun (p, stamp) -> Kmem.page_generation t.kmem p = stamp) pages
+
 let set_read_hook t h = t.read_hook <- h
 
 (* Fire the chaos hook after a performed read.  The guard stops a hook
@@ -285,11 +286,14 @@ let transported t ~ctx ~at ~bytes ~default perform =
    hook all behave exactly as on the uncached path — a cached run and an
    uncached run issue the same Kmem read sequence.  Without a transport
    reads are local and free, so the cache is bypassed entirely (and
-   counts nothing). *)
+   counts nothing).
+
+   It is also the only coalescer.  A miss is charged the read's own
+   bytes on the wire, and stamps every page the read touched as fetched,
+   so later reads of a struct on the same page skip the wire. *)
 
 let c_hits = Obs.Counter.make "cache.hits"
 let c_misses = Obs.Counter.make "cache.misses"
-let c_coalesced = Obs.Counter.make "cache.coalesced_reads"
 
 let pages_fresh t a n =
   let last = (a + max n 1 - 1) lsr Kmem.page_bits in
@@ -308,13 +312,12 @@ let fill_pages t a n =
 
 type cache_stats = { hits : int; misses : int; coalesced : int }
 
-let cache_stats t = { hits = t.ch_hits; misses = t.ch_misses; coalesced = t.ch_coalesced }
+let cache_stats t = { hits = t.ch_hits; misses = t.ch_misses; coalesced = 0 }
 
 let set_read_cache t on =
   t.cache_on <- on;
   if not on then Hashtbl.reset t.rcache
 
-let read_cache_enabled t = t.cache_on
 let clear_read_cache t = Hashtbl.reset t.rcache
 
 (* The cache only ever substitutes for fetches the transport would have
@@ -349,38 +352,44 @@ let cache_miss t =
     end
   end
 
-(* Struct-granular coalescing: fetch a whole object extent in one
-   transport round-trip and stamp its pages, so the per-field reads that
-   follow are cache hits (one packet per box instead of one per field,
-   like GDB's 'g'-packet batching).  On a refused fetch nothing is
-   recorded or stamped: each field read then goes through the transport
-   individually and degrades per-field, keeping [BROKEN]/[TORN]
-   semantics byte-identical to the uncoalesced path.  The prefetch
-   performs no Kmem read — no counters, no section registration, no
-   injection draw — so it is invisible to everything but the wire. *)
-let prefetch t a n =
-  match t.transport with
-  | None -> ()
-  | Some tr ->
-      if cache_usable t tr && n > 0
-         && not (a >= 0 && a < null_guard)
-         && not (pages_fresh t a n)
-      then
-        match Transport.fetch tr ~bytes:n (fun () -> ()) with
-        | Ok () ->
-            t.ch_coalesced <- t.ch_coalesced + 1;
-            if Obs.enabled () then Obs.Counter.incr c_coalesced;
-            fill_pages t a n
-        | Error _ -> ()
-
-let read_scalar t ~ctx a size signed =
-  if not (validate t ~ctx a) then 0
+(* The one checked-read body.  [read] performs the Kmem read and returns
+   the value, the bytes it counts and the extent it touched.  [extent]
+   is what the hit test validates and what a miss puts on the wire; a
+   miss then stamps every page the read touched, so the later reads of
+   the same page hit.  Refused reads (null page, refused fetch) yield
+   [default]. *)
+let checked_read t ~ctx a ~extent ~default read =
+  if not (validate t ~ctx a) then default
   else begin
     let perform () =
-      Obs.Counter.incr c_reads;
-      Obs.Counter.add c_bytes size;
-      observe_read t a size;
       let c0 = Kmem.fault_count t.kmem in
+      let v, bytes, touched = read () in
+      Obs.Counter.incr c_reads;
+      Obs.Counter.add c_bytes bytes;
+      observe_read t a touched;
+      mirror_injected t c0;
+      (v, touched)
+    in
+    let go () =
+      match t.transport with
+      | None -> fst (perform ())
+      | Some tr when cache_usable t tr && pages_fresh t a extent ->
+          cache_hit t;
+          fst (perform ())
+      | Some _ ->
+          cache_miss t;
+          transported t ~ctx ~at:a ~bytes:extent ~default (fun () ->
+              let v, touched = perform () in
+              if t.cache_on then fill_pages t a touched;
+              v)
+    in
+    let v = if Obs.enabled () then Obs.with_span ~cat:"target" "target.read" go else go () in
+    fire_read_hook t;
+    v
+  end
+
+let read_scalar t ~ctx a size signed =
+  checked_read t ~ctx a ~extent:size ~default:0 (fun () ->
       let v =
         match (size, signed) with
         | 1, false -> Kmem.read_u8 t.kmem a
@@ -391,60 +400,16 @@ let read_scalar t ~ctx a size signed =
         | 4, true -> Kmem.read_i32 t.kmem a
         | _ -> Kmem.read_u64 t.kmem a
       in
-      mirror_injected t c0;
-      v
-    in
-    let go () =
-      match t.transport with
-      | None -> perform ()
-      | Some tr when cache_usable t tr && pages_fresh t a size ->
-          cache_hit t;
-          perform ()
-      | Some _ ->
-          cache_miss t;
-          transported t ~ctx ~at:a ~bytes:size ~default:0 (fun () ->
-              let v = perform () in
-              if t.cache_on then fill_pages t a size;
-              v)
-    in
-    let v = if Obs.enabled () then Obs.with_span ~cat:"target" "target.read" go else go () in
-    fire_read_hook t;
-    v
-  end
+      (v, size, size))
 
+(* A string's extent is unknown before the read, so the hit test
+   validates its first 8-byte granule.  Data is always re-read from
+   Kmem, so a stale tail page can only mean an extra skipped round-trip,
+   never stale bytes. *)
 let read_str t ~ctx a reader =
-  if not (validate t ~ctx a) then ""
-  else begin
-    let perform () =
-      let c0 = Kmem.fault_count t.kmem in
+  checked_read t ~ctx a ~extent:8 ~default:"" (fun () ->
       let s = reader t.kmem a in
-      Obs.Counter.incr c_reads;
-      Obs.Counter.add c_bytes (String.length s);
-      observe_read t a (max 8 (String.length s + 1));
-      mirror_injected t c0;
-      s
-    in
-    let go () =
-      match t.transport with
-      | None -> perform ()
-      (* A string's extent is unknown before the read; the hit test
-         validates its first 8-byte granule.  Data is always re-read
-         from Kmem, so a stale tail page can only mean an extra skipped
-         round-trip, never stale bytes. *)
-      | Some tr when cache_usable t tr && pages_fresh t a 8 ->
-          cache_hit t;
-          perform ()
-      | Some _ ->
-          cache_miss t;
-          transported t ~ctx ~at:a ~bytes:8 ~default:"" (fun () ->
-              let s = perform () in
-              if t.cache_on then fill_pages t a (max 8 (String.length s + 1));
-              s)
-    in
-    let s = if Obs.enabled () then Obs.with_span ~cat:"target" "target.read" go else go () in
-    fire_read_hook t;
-    s
-  end
+      (s, String.length s, max 8 (String.length s + 1)))
 
 (* A pointer about to be followed: a value misaligned for its pointee is
    the signature of a low-bit-tagged or garbage pointer (the paper's
@@ -665,7 +630,6 @@ type profile = Transport.profile = {
   byte_ms : float;
 }
 
-let profile = Transport.profile
 let qemu_local = Transport.qemu_local
 let kgdb_rpi = Transport.kgdb_rpi
 let kgdb_rpi400 = Transport.kgdb_rpi400

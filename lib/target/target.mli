@@ -225,6 +225,12 @@ val section_pages : section -> (int * int) list
     validity key for incremental re-extraction: the snapshot is
     reusable until {!Kmem.page_generation} moves on some page. *)
 
+val pages_current : t -> (int * int) list -> bool
+(** [pages_current t stamps]: every page in [stamps] (as returned by
+    {!section_pages}) still carries its stamp, so the build that read
+    them would read the same bytes today.  The one validity test for
+    reusing a snapshot; callers never compare stamps themselves. *)
+
 val set_read_hook : t -> (unit -> unit) option -> unit
 (** Install (or clear) a hook fired after every performed checked read
     — the chaos harness's injection point for mutators that race the
@@ -232,24 +238,16 @@ val set_read_hook : t -> (unit -> unit) option -> unit
     reads through this target does not recurse. *)
 
 (* ------------------------------------------------------------------ *)
-(* Generation-validated read cache + struct-granular coalescing *)
-
-val prefetch : t -> addr -> int -> unit
-(** [prefetch t a n]: fetch the object extent [\[a, a+n)] in one
-    transport round-trip and stamp its pages in the read cache, so the
-    per-field reads that follow hit memory instead of the wire (one
-    packet per box instead of one per field).  A refused fetch records
-    nothing: each field read then degrades individually, keeping
-    [BROKEN]/[TORN] semantics identical to the uncoalesced path.  No-op
-    without a transport, with the cache disabled, for empty extents and
-    for null-page addresses. *)
+(* Generation-validated read cache — the only way a read skips the wire *)
 
 type cache_stats = { hits : int; misses : int; coalesced : int }
 (** Transport-avoidance accounting: [hits] = checked reads served
     without a round-trip (all pages generation-fresh), [misses] =
-    checked reads that went to the wire, [coalesced] = whole-struct
-    prefetch fetches.  All zero when no transport is attached — local
-    reads bypass the cache entirely.  Monotone: callers take deltas. *)
+    checked reads that went to the wire.  All zero when no transport is
+    attached — local reads bypass the cache entirely.  Monotone: callers
+    take deltas.  [coalesced] is always 0: the page cache is the only
+    coalescer, and the field stays only until the benchmark stops
+    reading it. *)
 
 val cache_stats : t -> cache_stats
 
@@ -259,9 +257,9 @@ val set_read_cache : t -> bool -> unit
     {e hit} skips only [Transport.fetch]: the Kmem read, its counters,
     consistent-section registration, fault-injection draws and the
     chaos read hook all still happen, so cached and uncached runs issue
-    the same Kmem read sequence. *)
-
-val read_cache_enabled : t -> bool
+    the same Kmem read sequence.  A miss puts only the read's own bytes
+    on the wire and stamps every page the read touched, so the next read
+    of the same struct (or of a slab neighbour on that page) is a hit. *)
 
 val clear_read_cache : t -> unit
 (** Drop every cached page stamp (the next reads all miss). *)
@@ -283,9 +281,6 @@ type profile = Transport.profile = {
   rtt_ms : float;
   byte_ms : float;
 }
-
-val profile : string -> float -> profile
-(** [profile name rtt_ms], per-byte cost pinned to [rtt/1024]. *)
 
 val qemu_local : profile
 (** GDB against local QEMU over a unix socket: ~0.05 ms round-trip. *)

@@ -47,11 +47,10 @@ type env = (string * value) list
 
    - [e_def]/[e_vhash]: the definition as built (view-hash identity —
      a redefined Box never reuses stale layouts);
-   - [e_pages]: the (page, Kmem generation) stamps of the consistent
-     section the box built under.  A clean section's stamps are exactly
-     the pages the build read; any Kmem write bumps a page's generation,
-     so comparing stamps against the live memory is a complete, lazy
-     invalidation test;
+   - [e_pages]: the stamps of the consistent section the box built
+     under ({!Target.section_pages}).  A clean section's stamps cover
+     exactly what the build read, and {!Target.pages_current} is a
+     complete, lazy invalidation test over them;
    - [e_faulty]: set when the build recorded memory faults or closed
      dirty — degraded boxes are never reused, a refresh retries them.
 
@@ -672,8 +671,8 @@ and eval_apply st env name anchor args =
    - the entry was built (or adopted) earlier THIS run: plain memo hit,
      shared objects become shared boxes and cycles terminate;
    - the entry survives from a previous run and its whole subtree still
-     matches live memory ({!subtree_valid}): adopt it — the subtree is
-     reused with zero target reads;
+     matches live memory: {!adopt} it — the subtree is reused with
+     zero target reads;
    - otherwise fall through to a rebuild, which happens in place under
      the existing box id so reused neighbours' links stay valid. *)
 and cached_box st name def addr =
@@ -684,98 +683,59 @@ and cached_box st name def addr =
       None
   | Some e when e.e_run = st.cache.pc_run -> Some (Vbox e.e_box)
   | Some e ->
-      if st.reuse_ok && e.e_vhash = Hashtbl.hash def && e.e_def = def && subtree_valid st e
-      then begin
-        adopt st e;
-        Some (Vbox e.e_box)
-      end
+      if st.reuse_ok && e.e_vhash = Hashtbl.hash def && e.e_def = def && adopt st e
+      then Some (Vbox e.e_box)
       else begin
         st.invalidated <- st.invalidated + 1;
         if Obs.enabled () then Obs.Counter.incr c_box_invalidated;
         None
       end
 
-(* Is every box reachable from [root_e] still a faithful snapshot?  A
-   memoized box is fresh when the (page, generation) stamps recorded by
-   its consistent section still match live memory and it did not degrade
-   ([e_faulty]).  Containers without entries are walked through — their
-   membership reads happened inside the enclosing box's section, so the
-   enclosing stamps already cover them.  Anything else unmemoized (anon
-   boxes own their reads but record no stamps) is conservatively stale.
-   Entries already stamped with the current run were rebuilt or adopted
-   moments ago and need no descent. *)
-and subtree_valid st root_e =
-  let mem = Target.mem st.tgt in
-  let run = st.cache.pc_run in
-  let seen = Hashtbl.create 32 in
-  let ok = ref true in
-  let stack = ref [ root_e.e_box ] in
-  let continue = ref true in
-  while !continue do
-    match !stack with
-    | [] -> continue := false
-    | id :: rest ->
-        stack := rest;
-        if not (Hashtbl.mem seen id) then begin
-          Hashtbl.add seen id ();
-          if Hashtbl.mem st.bad id then begin
-            ok := false;
-            continue := false
-          end
-          else
-            match (Hashtbl.find_opt st.cache.pc_by_box id, Vgraph.find st.graph id) with
-            | _, None -> ok := false; continue := false
-            | Some e, Some b ->
-                if e.e_run = run then ()
-                else if
-                  e.e_faulty
-                  || not
-                       (List.for_all
-                          (fun (p, g0) -> Kmem.page_generation mem p = g0)
-                          e.e_pages)
-                then begin
-                  ok := false;
-                  continue := false
-                end
-                else stack := List.rev_append (Vgraph.child_ids b) !stack
-            | None, Some b ->
-                if b.Vgraph.container then
-                  stack := List.rev_append (Vgraph.child_ids b) !stack
-                else begin
-                  ok := false;
-                  continue := false
-                end
-        end
-  done;
-  if not !ok then Hashtbl.replace st.bad root_e.e_box ();
-  !ok
-
-(* Stamp every entry in a validated subtree as current, counting each
-   adopted box as a cache hit. *)
+(* Adopt the subtree under [root_e] if every box reachable from it is
+   still a faithful snapshot.  A memoized box is fresh when the page
+   stamps its consistent section recorded are still current
+   ({!Target.pages_current}) and it did not degrade ([e_faulty]).
+   Containers without entries are walked through — their membership
+   reads happened inside the enclosing box's section, so the enclosing
+   stamps already cover them.  Anything else unmemoized (anon boxes own
+   their reads but record no stamps) is conservatively stale.  Entries
+   already stamped with the current run were rebuilt or adopted moments
+   ago and need no descent.  One walk validates and collects; only a
+   subtree that passes whole is stamped with the current run, each
+   adopted box counting as a cache hit.  A failed root is remembered in
+   [st.bad] so a later reference fails without a walk. *)
 and adopt st root_e =
   let run = st.cache.pc_run in
   let seen = Hashtbl.create 32 in
-  let stack = ref [ root_e.e_box ] in
-  let continue = ref true in
-  while !continue do
-    match !stack with
-    | [] -> continue := false
+  let rec walk fresh = function
+    | [] -> Some fresh
+    | id :: rest when Hashtbl.mem seen id -> walk fresh rest
     | id :: rest -> (
-        stack := rest;
-        if not (Hashtbl.mem seen id) then begin
-          Hashtbl.add seen id ();
+        Hashtbl.add seen id ();
+        if Hashtbl.mem st.bad id then None
+        else
           match (Hashtbl.find_opt st.cache.pc_by_box id, Vgraph.find st.graph id) with
-          | Some e, Some b when e.e_run <> run ->
-              e.e_run <- run;
-              st.hits <- st.hits + 1;
-              if Obs.enabled () then Obs.Counter.incr c_box_hits;
-              stack := List.rev_append (Vgraph.child_ids b) !stack
-          | Some _, _ -> ()
+          | _, None -> None
+          | Some e, Some _ when e.e_run = run -> walk fresh rest
+          | Some e, Some b ->
+              if e.e_faulty || not (Target.pages_current st.tgt e.e_pages) then None
+              else walk (e :: fresh) (List.rev_append (Vgraph.child_ids b) rest)
           | None, Some b when b.Vgraph.container ->
-              stack := List.rev_append (Vgraph.child_ids b) !stack
-          | None, _ -> ()
-        end)
-  done
+              walk fresh (List.rev_append (Vgraph.child_ids b) rest)
+          | None, Some _ -> None)
+  in
+  match walk [] [ root_e.e_box ] with
+  | None ->
+      Hashtbl.replace st.bad root_e.e_box ();
+      false
+  | Some fresh ->
+      List.iter
+        (fun e ->
+          e.e_run <- run;
+          st.hits <- st.hits + 1;
+          if Obs.enabled () then Obs.Counter.incr c_box_hits)
+        fresh;
+      true
 
 and effective_items def_views vname =
   (* Resolve view inheritance: parent items first. *)
@@ -856,7 +816,7 @@ and build_box_raw ?def st env ~bdef ~btype ~addr ~views ~bwhere =
       e.e_run <- st.cache.pc_run;
       (* Poisoned until the extraction below completes: if the run
          raises out of build_box_raw (box budget, eval error), the
-         half-built box must never pass {!subtree_valid} on its stale
+         half-built box must never pass {!adopt}'s check on its stale
          page stamps and be adopted by a later refresh as a faithful
          snapshot.  A clean extract restores validity at the end. *)
       e.e_faulty <- true
@@ -889,12 +849,6 @@ and build_box_raw ?def st env ~bdef ~btype ~addr ~views ~bwhere =
      only THIS box's ranges.  [end_consistent] runs inside [with_faults]
      so the Torn faults belong to this box, not its parent. *)
   let attempt () =
-    (* Struct-granular coalescing: pull the whole struct extent in one
-       transport round-trip, so the per-field reads below all hit the
-       generation-validated page cache.  A failed prefetch records
-       nothing — the per-field reads then fetch (and fault)
-       individually, keeping [BROKEN]/[TORN] semantics untouched. *)
-    if size > 0 && addr <> 0 then Target.prefetch st.tgt addr size;
     Target.with_faults st.tgt (fun () ->
         let sec = Target.begin_consistent st.tgt in
         match build () with

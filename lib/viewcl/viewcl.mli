@@ -51,8 +51,8 @@ val parse : string -> Ast.program
 
 type cache = Interp.plot_cache
 (** The cross-run box memo behind incremental re-plots: boxes keyed by
-    (definition name, address), each stamped with the (page, Kmem
-    generation) pairs its consistent section read.  Pass the cache of a
+    (definition name, address), each stamped with the page stamps its
+    consistent section read ({!Target.section_pages}).  Pass the cache of a
     previous {!run} back in to re-extract only the boxes whose pages
     were written since, adopting the rest of the graph as-is. *)
 

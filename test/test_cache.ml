@@ -1,5 +1,5 @@
 (* The extraction fast path (ISSUE 5): the generation-validated read
-   cache, struct-granular coalescing, and incremental re-plot.
+   cache (the only coalescer) and incremental re-plot.
 
    The correctness bar: caching is an optimization of WHERE bytes come
    from, never of WHAT the plot says.  A warm cached re-plot must render
@@ -64,16 +64,40 @@ let test_repeat_plot_skips_transport () =
     (Printf.sprintf "warm fetches (%d) at least 5x below cold (%d)" warm_ok cold_ok)
     true (warm_ok * 5 <= cold_ok)
 
-let test_coalescing_counts () =
-  let _, _, s = session () in
-  let tr = Transport.create Transport.qemu_local in
-  Target.set_transport s.Visualinux.target tr;
-  ignore (Visualinux.vplot s (source "7-1"));
-  let cs = Target.cache_stats s.Visualinux.target in
-  Alcotest.(check bool) "struct extents were coalesced" true (cs.Target.coalesced > 0);
-  (* within one cold plot the per-field reads after each prefetch hit *)
-  Alcotest.(check bool) "field reads after a prefetch hit the cache" true
-    (cs.Target.hits > cs.Target.misses)
+let figures = [| "3-4"; "7-1"; "9-2"; "12-3"; "6-1" |]
+
+(* The page cache is the only way a read skips the wire: on a fault-free
+   link every fetch is exactly one cache miss, over a cold plot and over
+   a refresh after the kernel steps. *)
+let test_fetch_is_one_miss () =
+  Array.iter
+    (fun fig ->
+      let _, w, s = session () in
+      let tgt = s.Visualinux.target in
+      let tr = Transport.create Transport.qemu_local in
+      Target.set_transport tgt tr;
+      let counted f =
+        let cs0 = Target.cache_stats tgt and ok0 = (Transport.snapshot tr).Transport.reads_ok in
+        let x = f () in
+        let cs1 = Target.cache_stats tgt in
+        ( x,
+          (Transport.snapshot tr).Transport.reads_ok - ok0,
+          cs1.Target.misses - cs0.Target.misses,
+          cs1.Target.hits - cs0.Target.hits )
+      in
+      let (pane, _, _), fetches, misses, hits =
+        counted (fun () -> Visualinux.vplot s (source fig))
+      in
+      Alcotest.(check int) (fig ^ ": cold plot fetches = misses") misses fetches;
+      (* within one cold plot, later reads of a fetched page hit *)
+      Alcotest.(check bool) (fig ^ ": reads after a miss hit the cache") true (hits > misses);
+      Workload.step w;
+      let res, fetches, misses, _ =
+        counted (fun () -> Visualinux.vrefresh s ~pane:pane.Panel.pid)
+      in
+      if res = None then Alcotest.fail "vrefresh failed";
+      Alcotest.(check int) (fig ^ ": refresh fetches = misses") misses fetches)
+    figures
 
 let test_cache_off_restores_per_field_reads () =
   let _, _, s = session () in
@@ -82,13 +106,10 @@ let test_cache_off_restores_per_field_reads () =
   Target.set_read_cache s.Visualinux.target false;
   ignore (Visualinux.vplot s (source "3-4"));
   let cs = Target.cache_stats s.Visualinux.target in
-  Alcotest.(check int) "no hits" 0 cs.Target.hits;
-  Alcotest.(check int) "no coalesced fetches" 0 cs.Target.coalesced
+  Alcotest.(check int) "no hits" 0 cs.Target.hits
 
 (* ------------------------------------------------------------------ *)
 (* Identity: warm cached re-plot == cold uncached plot *)
-
-let figures = [| "3-4"; "7-1"; "9-2"; "12-3"; "6-1" |]
 
 let warm_equals_cold =
   QCheck.Test.make ~name:"warm cached re-plot renders identically to a cold plot" ~count:12
@@ -322,7 +343,7 @@ let test_viewql_index_after_refresh () =
 
 let suite =
   [ Alcotest.test_case "repeat plot skips the transport" `Quick test_repeat_plot_skips_transport;
-    Alcotest.test_case "struct reads are coalesced" `Quick test_coalescing_counts;
+    Alcotest.test_case "every wire fetch is one cache miss" `Quick test_fetch_is_one_miss;
     Alcotest.test_case "cache off restores per-field reads" `Quick
       test_cache_off_restores_per_field_reads;
     QCheck_alcotest.to_alcotest warm_equals_cold;

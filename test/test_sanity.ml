@@ -39,21 +39,6 @@ let prop_generation_monotone =
         ops;
       !ok)
 
-let test_range_generation_is_max () =
-  let m = Kmem.create () in
-  let a = Kmem.alloc m ~align:4096 ~tag:"a" 4096 in
-  let b = Kmem.alloc m ~align:4096 ~tag:"b" 4096 in
-  Kmem.write_u64 m a 1;
-  Kmem.write_u64 m b 2;
-  let pa = a lsr Kmem.page_bits and pb = b lsr Kmem.page_bits in
-  Alcotest.(check bool) "later write -> later stamp" true
-    (Kmem.page_generation m pb > Kmem.page_generation m pa);
-  let lo = min a b in
-  let len = abs (b - a) + 4096 in
-  Alcotest.(check int) "range stamp = max page stamp"
-    (max (Kmem.page_generation m pa) (Kmem.page_generation m pb))
-    (Kmem.range_generation m lo len)
-
 (* ------------------------------------------------------------------ *)
 (* Target consistent sections *)
 
@@ -358,7 +343,6 @@ let test_vverify_flags_corrupted_rbtree () =
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_generation_monotone;
-    Alcotest.test_case "range generation is max of pages" `Quick test_range_generation_is_max;
     Alcotest.test_case "clean section" `Quick test_section_clean;
     Alcotest.test_case "torn after read" `Quick test_section_torn_after_read;
     Alcotest.test_case "snapshot mixing detected" `Quick test_section_snapshot_mixing;
