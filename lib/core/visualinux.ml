@@ -306,6 +306,14 @@ let refresh_stale s =
              s))
     (Panel.stale_ids s.panel)
 
+(** Flag a primary pane [STALE]: its graph predates the target's current
+    state, because a refresh of it was refused or failed.  The next
+    served refresh clears the flag. *)
+let mark_stale s ~pane =
+  match Panel.pane_opt s.panel pane with
+  | Some ({ Panel.kind = Panel.Primary _; _ } as p) -> p.Panel.stale <- true
+  | _ -> ()
+
 (** vrefresh: incrementally re-plot a primary pane in place.  The pane's
     plot cache carries every box of the previous extraction stamped with
     the (page, generation) pairs it read; the re-plot adopts boxes whose
@@ -313,14 +321,16 @@ let refresh_stale s =
     ids — only those invalidated by kernel writes, then replays the
     pane's ViewQL history.  Returns the ViewCL result and {!plot_stats}
     (same shape as {!vplot}); [None] for unknown/secondary panes or a
-    dead link. *)
+    dead link, which leaves the pane [STALE]. *)
 let vrefresh s ~pane =
   match Panel.pane_opt s.panel pane with
   | None -> None
   | Some { Panel.kind = Panel.Secondary _; _ } -> None
   | Some { Panel.kind = Panel.Primary { program }; _ } -> (
       match Target.transport s.target with
-      | Some tr when Transport.link tr = Transport.Down -> None
+      | Some tr when Transport.link tr = Transport.Down ->
+          mark_stale s ~pane;
+          None
       | tr_opt -> (
           Target.reset_stats s.target;
           Option.iter Transport.begin_plot tr_opt;
@@ -340,7 +350,7 @@ let vrefresh s ~pane =
              surfaces. *)
           let drop_cache () =
             Hashtbl.remove s.caches pane;
-            Option.iter (fun p -> p.Panel.stale <- true) (Panel.pane_opt s.panel pane)
+            mark_stale s ~pane
           in
           match
             Obs.Trace.with_trace tid (fun () ->

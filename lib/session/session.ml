@@ -5,9 +5,8 @@
     deadline and a budget gate onto the shared transport, (c) runs the
     underlying {!Visualinux} command, (d) captures the op's fault,
     read, cache-stat and wire-time deltas into the session's private
-    accounting, and (e) advances the target's Healthy -> Quarantine ->
-    Probation state machine from the breaker/link state the op left
-    behind. *)
+    accounting, and (e) feeds what the op left on the link to the
+    target's {!Health} machine and carries out the effects it returns. *)
 
 type sid = int
 
@@ -57,24 +56,10 @@ type 'a outcome = Admitted of 'a | Rejected of { reason : reason }
 (* ------------------------------------------------------------------ *)
 (* Server state *)
 
-(* Quarantine/probation/degradation bookkeeping for one shared target. *)
-type qstate = { mutable prober : sid; mutable probes : int }
-type pstate = { mutable waiting : sid list; mutable skips : int }
-
-(* Degraded: the wire's fault EWMA crossed the degrade threshold but the
-   target is still serving.  Without a replica, load is shed by weighted
-   credits (see [degradation_route]); [credits] holds each session's
-   accumulated deficit counter. *)
-type dstate = { credits : (sid, int) Hashtbl.t }
-
-type tstate = Healthy | Degraded of dstate | Quarantine of qstate | Probation of pstate
-
 type shared = {
   tname : string;
   target : Target.t;
-  mutable state : tstate;
-  mutable rr : int;  (* round-robin cursor for prober election *)
-  mutable hsince : int;  (* admitted ops since the last state transition *)
+  mutable health : Health.state;  (* assigned only by [apply] *)
   mutable qspan : int;  (* op span that parked the target in quarantine *)
 }
 
@@ -123,13 +108,6 @@ type server = {
   mutable last_recovery : recovery option;
 }
 
-let capacity srv = srv.cap
-
-(* After this many fruitless probe ops the quarantined target elects
-   the next session round-robin — a sick prober must not hold the
-   recovery slot forever. *)
-let probe_rounds = 3
-
 let default_target = "t0"
 
 let create ?(capacity = 8) kernel =
@@ -139,8 +117,8 @@ let create ?(capacity = 8) kernel =
       last_recovery = None }
   in
   Hashtbl.replace srv.targets default_target
-    { tname = default_target; target = Khelpers.attach kernel; state = Healthy; rr = 0;
-      hsince = 0; qspan = 0 };
+    { tname = default_target; target = Khelpers.attach kernel; health = Health.initial;
+      qspan = 0 };
   srv.torder <- [ default_target ];
   srv
 
@@ -150,10 +128,8 @@ let add_target srv ?transport name =
   let target = Khelpers.attach srv.kernel in
   Option.iter (Target.set_transport target) transport;
   Hashtbl.replace srv.targets name
-    { tname = name; target; state = Healthy; rr = 0; hsince = 0; qspan = 0 };
+    { tname = name; target; health = Health.initial; qspan = 0 };
   srv.torder <- srv.torder @ [ name ]
-
-let target_names srv = srv.torder
 
 type health = [ `Healthy | `Degraded | `Quarantine of sid | `Probation of sid list ]
 
@@ -163,11 +139,11 @@ let shared_of srv name =
   | None -> invalid_arg (Printf.sprintf "Session: unknown target %S" name)
 
 let target_health srv name : health =
-  match (shared_of srv name).state with
-  | Healthy -> `Healthy
-  | Degraded _ -> `Degraded
-  | Quarantine q -> `Quarantine q.prober
-  | Probation p -> `Probation p.waiting
+  match (shared_of srv name).health.Health.mode with
+  | Health.Healthy -> `Healthy
+  | Health.Degraded _ -> `Degraded
+  | Health.Quarantine q -> `Quarantine q.prober
+  | Health.Probation p -> `Probation p.waiting
 
 (* ------------------------------------------------------------------ *)
 (* Per-session counters *)
@@ -327,9 +303,45 @@ let corrupt_wal srv =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
-let live_sids_on srv sh =
-  Hashtbl.fold (fun sid s acc -> if s.shared == sh then sid :: acc else acc) srv.sessions []
+(* The target's open sessions and their weights, by sid. *)
+let live_on srv sh =
+  Hashtbl.fold (fun sid s acc -> if s.shared == sh then (sid, s.weight) :: acc else acc)
+    srv.sessions []
   |> List.sort compare
+
+let obs_state sh label =
+  if Obs.enabled () then begin
+    Obs.instant ~cat:"session" ~attrs:[ ("target", sh.tname) ] label;
+    Obs.Metrics.incr (Printf.sprintf "server.%s" label)
+  end
+
+(* Install the health machine's next state and carry out the effects it
+   asked for.  The only place a target's state is assigned. *)
+let apply srv sh (st, effects) =
+  sh.health <- st;
+  List.iter
+    (function
+      | Health.Enter_quarantine { prober; stale } ->
+          (* remember which op parked the target, so the probation
+             re-admission that eventually follows can link back to it *)
+          sh.qspan <- Obs.Trace.current_span ();
+          obs_state sh "quarantine.enter";
+          wal_append srv ~kind:k_quarantine
+            (Printf.sprintf "{\"target\":\"%s\",\"prober\":%d}" (Vgraph.json_escape sh.tname)
+               prober);
+          Hashtbl.iter
+            (fun sid s ->
+              if List.mem sid stale then begin
+                Panel.mark_all_stale s.vis.Visualinux.panel;
+                bump s "stale.epochs"
+              end)
+            srv.sessions
+      | Health.Enter_degraded -> obs_state sh "degrade.enter"
+      | Health.Exit_degraded -> obs_state sh "degrade.exit"
+      | Health.Exit_quarantine -> obs_state sh "quarantine.exit"
+      | Health.Probe sid ->
+          Option.iter (fun s -> bump s "probes") (Hashtbl.find_opt srv.sessions sid))
+    effects
 
 let sessions_gauge srv =
   if Obs.enabled () then
@@ -375,20 +387,7 @@ let close_session srv sid =
       Hashtbl.remove srv.sessions sid;
       sessions_gauge srv;
       let sh = sess.shared in
-      (* drop the departed session from recovery bookkeeping *)
-      (match sh.state with
-      | Healthy -> ()
-      | Degraded d -> Hashtbl.remove d.credits sid
-      | Quarantine q when q.prober = sid -> (
-          match live_sids_on srv sh with
-          | [] -> sh.state <- Healthy
-          | s :: _ ->
-              q.prober <- s;
-              q.probes <- 0)
-      | Quarantine _ -> ()
-      | Probation p -> (
-          p.waiting <- List.filter (fun s -> s <> sid) p.waiting;
-          match p.waiting with [] -> sh.state <- Healthy | _ -> ()))
+      apply srv sh (Health.leave sh.health sid ~live:(live_on srv sh), [])
 
 let session_name srv sid =
   Option.map (fun s -> s.name) (Hashtbl.find_opt srv.sessions sid)
@@ -430,119 +429,24 @@ let begin_epoch srv sid =
     (Hashtbl.find_opt srv.sessions sid)
 
 (* ------------------------------------------------------------------ *)
-(* Degradation state machine *)
-
-let elect srv sh =
-  match live_sids_on srv sh with
-  | [] -> None
-  | sids ->
-      let n = List.length sids in
-      let pick = List.nth sids (sh.rr mod n) in
-      sh.rr <- sh.rr + 1;
-      Some pick
-
-let obs_state sh label =
-  if Obs.enabled () then begin
-    Obs.instant ~cat:"session" ~attrs:[ ("target", sh.tname) ] label;
-    Obs.Metrics.incr (Printf.sprintf "server.%s" label)
-  end
-
-(* Enter quarantine: elect a prober round-robin; every other session on
-   the target falls back to serving [STALE] panes from its caches. *)
-let enter_quarantine srv sh =
-  match elect srv sh with
-  | None -> sh.state <- Healthy
-  | Some prober ->
-      sh.state <- Quarantine { prober; probes = 0 };
-      sh.hsince <- 0;
-      (* remember which op parked the target, so the probation
-         re-admission that eventually follows can link back to it *)
-      sh.qspan <- Obs.Trace.current_span ();
-      obs_state sh "quarantine.enter";
-      wal_append srv ~kind:k_quarantine
-        (Printf.sprintf "{\"target\":\"%s\",\"prober\":%d}" (Vgraph.json_escape sh.tname)
-           prober);
-      Hashtbl.iter
-        (fun sid s ->
-          if s.shared == sh && sid <> prober then begin
-            Panel.mark_all_stale s.vis.Visualinux.panel;
-            bump s "stale.epochs"
-          end)
-        srv.sessions
-
-let enter_degraded sh =
-  sh.state <- Degraded { credits = Hashtbl.create 8 };
-  sh.hsince <- 0;
-  obs_state sh "degrade.enter"
+(* Target health *)
 
 let link_bad tr = Transport.link tr = Transport.Down || Transport.breaker tr = Transport.Open
 
 let link_recovered tr =
   Transport.link tr = Transport.Up && Transport.breaker tr = Transport.Closed
 
-let th = Transport.Health.default_thresholds
-
-(* Advance the target's state from what [sess]'s (admitted) op left on
-   the shared link: the hard breaker/link signals still force
-   quarantine, but the graduated path is driven by the wire's fault
-   EWMA through {!Transport.Health.step} — Healthy -> Degraded when the
-   EWMA crosses [degrade_hi], Degraded -> Quarantine at [sick_hi] with
-   the breaker still Closed (the proactive shed the gray-failure regime
-   needs), and quarantine is only left once the EWMA has decayed back
-   under [sick_lo], so one lucky probe cannot re-admit the herd. *)
+(* Feed the health machine what [sess]'s (admitted) op left on the shared
+   link: the hard breaker/link verdict and the wire's fault EWMA. *)
 let update_health srv sh sess =
-  match Target.transport sh.target with
-  | None -> ()
-  | Some tr -> (
-      sh.hsince <- sh.hsince + 1;
-      let fr = (Transport.ewma tr).Transport.ew_fault_rate in
-      match sh.state with
-      | Healthy ->
-          if link_bad tr then enter_quarantine srv sh
-          else if
-            Transport.Health.step th Transport.Health.Fine ~fr ~since:sh.hsince
-            <> Transport.Health.Fine
-          then enter_degraded sh
-      | Degraded _ ->
-          if link_bad tr then enter_quarantine srv sh
-          else (
-            match Transport.Health.step th Transport.Health.Degraded ~fr ~since:sh.hsince with
-            | Transport.Health.Fine ->
-                sh.state <- Healthy;
-                sh.hsince <- 0;
-                obs_state sh "degrade.exit"
-            | Transport.Health.Sick -> enter_quarantine srv sh
-            | Transport.Health.Degraded -> ())
-      | Quarantine q ->
-          if link_recovered tr && fr <= th.Transport.Health.sick_lo then begin
-            (* recovered: re-admit the waiting sessions one op at a
-               time, in sid order — fair, staggered, no herd *)
-            let others = List.filter (fun s -> s <> q.prober) (live_sids_on srv sh) in
-            (match others with
-            | [] -> sh.state <- Healthy
-            | waiting -> sh.state <- Probation { waiting; skips = 0 });
-            sh.hsince <- 0;
-            obs_state sh "quarantine.exit"
-          end
-          else if sess.sid = q.prober then begin
-            q.probes <- q.probes + 1;
-            bump sess "probes";
-            if q.probes >= probe_rounds then begin
-              (* the prober is not making progress (it may be the sick
-                 session itself): pass the probe slot on *)
-              (match elect srv sh with Some p -> q.prober <- p | None -> ());
-              q.probes <- 0
-            end
-          end
-      | Probation p ->
-          if link_bad tr then enter_quarantine srv sh
-          else (
-            (* every admitted op on the target re-admits one waiter *)
-            match p.waiting with
-            | [] | [ _ ] ->
-                sh.state <- Healthy;
-                sh.hsince <- 0
-            | _ :: rest -> p.waiting <- rest))
+  Option.iter
+    (fun tr ->
+      apply srv sh
+        (Health.step sh.health
+           { Health.actor = sess.sid; live = live_on srv sh;
+             link_bad = link_bad tr; link_recovered = link_recovered tr;
+             fault_rate = (Transport.ewma tr).Transport.ew_fault_rate }))
+    (Target.transport sh.target)
 
 (* A healthy stand-in for a sick target: another registered target with
    a live wire (transportless locals are never hedge candidates).  All
@@ -554,7 +458,7 @@ let healthy_replica srv sh =
     (fun name ->
       let cand = Hashtbl.find srv.targets name in
       if
-        cand != sh && cand.state = Healthy
+        cand != sh && cand.health.Health.mode = Health.Healthy
         &&
         match Target.transport cand.target with
         | Some tr -> link_recovered tr
@@ -590,93 +494,17 @@ let fire_canary sess sh =
       bump ~by:dr sess "reads";
       bump sess "canaries"
 
-(* Weighted fair shedding on a degraded target with no replica: each
-   knock earns the session [weight] credits and an op is admitted when
-   the balance covers the stride (twice the mean weight across the
-   target's sessions), so a weight-w session is refused at most
-   [ceil(stride/w)] times in a row — the starvation bound the tests
-   pin — while admission frequency stays proportional to weight. *)
-let shed_stride srv sh =
-  let sids = live_sids_on srv sh in
-  let total =
-    List.fold_left
-      (fun acc sid ->
-        acc + match Hashtbl.find_opt srv.sessions sid with None -> 1 | Some s -> s.weight)
-      0 sids
-  in
-  max 1 (2 * total / max 1 (List.length sids))
-
-(* Where an admitted op's wire traffic goes. *)
-type route = Home | Hedged of shared
-
-(* What [degradation_route] decided, for [admit] to act on: the route,
-   whether a canary must be fired through the sick home wire before the
-   op runs, and — for a probation re-admission — the span id of the op
-   that parked the target in quarantine (0 otherwise), so the op span
-   can link back to its cause. *)
-type decision = { droute : route; dcanary : bool; dqspan : int }
-
-let go ?(canary = false) ?(qspan = 0) droute = Ok { droute; dcanary = canary; dqspan = qspan }
-
-(* Admission + routing against the target's degradation state.  Healthy
-   serves at home; Degraded hedges to a healthy replica when one exists
-   (asking [admit] to fire a canary through the sick wire so its EWMA
-   keeps learning) and weight-fair-sheds when none does; Quarantine
-   serves everyone from the replica if there is one, else only the
-   elected prober passes; Probation re-admits one waiter per op as
-   before. *)
-let degradation_route srv sh sess : (decision, reason) result =
-  match sh.state with
-  | Healthy -> go Home
-  | Degraded d -> (
-      match healthy_replica srv sh with
-      | Some rep -> go ~canary:true (Hedged rep)
-      | None ->
-          let bal =
-            sess.weight + Option.value ~default:0 (Hashtbl.find_opt d.credits sess.sid)
-          in
-          let stride = shed_stride srv sh in
-          if bal >= stride then begin
-            Hashtbl.replace d.credits sess.sid (bal - stride);
-            go Home
-          end
-          else begin
-            Hashtbl.replace d.credits sess.sid bal;
-            Error (Shed { target = sh.tname; deficit = stride - bal })
-          end)
-  | Quarantine q ->
-      if sess.sid = q.prober then
-        (* the prober's op rides the replica when one exists — the
-           canary is the probe; no need to risk the whole op on the
-           sick wire *)
-        match healthy_replica srv sh with
-        | Some rep -> go ~canary:true (Hedged rep)
-        | None -> go ~canary:true Home
-      else (
-        match healthy_replica srv sh with
-        | Some rep -> go (Hedged rep)
-        | None -> Error (Quarantined { target = sh.tname; prober = q.prober }))
-  | Probation p -> (
-      match p.waiting with
-      | [] ->
-          sh.state <- Healthy;
-          go Home
-      | head :: rest ->
-          if sess.sid = head then go ~qspan:sh.qspan Home
-          else if not (List.mem sess.sid p.waiting) then go Home
-          else (
-            match healthy_replica srv sh with
-            | Some rep -> go (Hedged rep)
-            | None ->
-                (* a non-head waiter knocked: count it, and once every
-                   waiter has been turned away rotate the head so a
-                   silent head cannot starve the queue *)
-                p.skips <- p.skips + 1;
-                if p.skips > List.length p.waiting then begin
-                  p.waiting <- rest @ [ head ];
-                  p.skips <- 0
-                end;
-                Error (Quarantined { target = sh.tname; prober = List.hd p.waiting })))
+(* Admission + routing against the target's health, as the machine
+   decides it given whether a healthy replica exists: [Ok (hedge, d)]
+   names the replica the op is hedged to, if any. *)
+let degradation_route srv sh sess =
+  let rep = healthy_replica srv sh in
+  let r, st = Health.route sh.health ~live:(live_on srv sh) sess.sid ~replica:(rep <> None) in
+  apply srv sh (st, []);
+  match r with
+  | Ok d -> Ok ((if d.Health.hedge then rep else None), d)
+  | Error (Health.Shed { deficit }) -> Error (Shed { target = sh.tname; deficit })
+  | Error (Health.Quarantined { prober }) -> Error (Quarantined { target = sh.tname; prober })
 
 let budget_block sess =
   match sess.sbudget.max_reads with
@@ -691,7 +519,7 @@ let budget_block sess =
 (* ------------------------------------------------------------------ *)
 (* The isolated op wrapper *)
 
-let health_gauges sh =
+let health_gauges srv sh =
   if Obs.enabled () then begin
     (match Target.transport sh.target with
     | Some tr ->
@@ -705,37 +533,34 @@ let health_gauges sh =
     | None -> ());
     Obs.Metrics.set_gauge
       (Printf.sprintf "health.%s.state" sh.tname)
-      (match sh.state with
-      | Healthy -> 0.
-      | Degraded _ -> 1.
-      | Quarantine _ -> 2.
-      | Probation _ -> 3.)
-  end
-
-let quarantined_gauge srv =
-  if Obs.enabled () then begin
+      (match sh.health.Health.mode with
+      | Health.Healthy -> 0.
+      | Health.Degraded _ -> 1.
+      | Health.Quarantine _ -> 2.
+      | Health.Probation _ -> 3.);
     let n =
       Hashtbl.fold
-        (fun _ sh acc -> match sh.state with Quarantine _ -> acc + 1 | _ -> acc)
+        (fun _ sh acc ->
+          match sh.health.Health.mode with Health.Quarantine _ -> acc + 1 | _ -> acc)
         srv.targets 0
     in
     Obs.Metrics.set_gauge "session.quarantined_targets" (float_of_int n)
   end
 
 (* Swap the session's fault config, deadline, budget gate and retry
-   budget onto the op's transport (the home link, or — when [route] says
-   [Hedged] — the healthy replica's), run [f], then capture this op's
+   budget onto the op's transport (the home link, or the healthy replica
+   [hedge]'s), run [f], then capture this op's
    deltas (faults, reads, wire ms, cache stats) into the session's
    private accounting — restoring the link's config, and the home
    transport on a hedged op, on every path {e before} the health update
    reads the home wire's state. *)
-let run_isolated srv ~route sess f =
+let run_isolated srv ~hedge sess f =
   let sh = sess.shared in
   let tgt = sh.target in
   let home_tr = Target.transport tgt in
-  (match route with
-  | Hedged rep -> Option.iter (Target.set_transport tgt) (Target.transport rep.target)
-  | Home -> ());
+  Option.iter
+    (fun rep -> Option.iter (Target.set_transport tgt) (Target.transport rep.target))
+    hedge;
   let tr_opt = Target.transport tgt in
   let saved_faults = Option.map Transport.faults_of tr_opt in
   (* token-bucket refill: one retry token earned per op, up to the cap *)
@@ -817,20 +642,18 @@ let run_isolated srv ~route sess f =
         Transport.set_retry_gate tr None;
         Option.iter (Transport.set_faults tr) saved_faults)
       tr_opt;
-    (match route with
-    | Hedged _ ->
-        bump sess "hedged.ops";
-        Option.iter (Target.set_transport tgt) home_tr
-    | Home -> ());
+    if Option.is_some hedge then begin
+      bump sess "hedged.ops";
+      Option.iter (Target.set_transport tgt) home_tr
+    end;
     update_health srv sh sess;
-    health_gauges sh;
-    quarantined_gauge srv
+    health_gauges srv sh
   in
   (* a hedged op's wire work runs under its own span, linked from the
      ambient op span so Perfetto draws the op -> replica-wire arrow *)
   let f =
-    match route with
-    | Hedged rep when Obs.enabled () ->
+    match hedge with
+    | Some rep when Obs.enabled () ->
         let op = Obs.Trace.current_span () in
         fun () ->
           Obs.with_span ~cat:"session"
@@ -885,7 +708,7 @@ let admit srv sid kind f =
       | None -> (
           match degradation_route srv sess.shared sess with
           | Error reason -> refused (Some sess) reason
-          | Ok { droute = route; dcanary; dqspan } ->
+          | Ok (hedge, d) ->
               let r =
                 Obs.Trace.with_trace tid (fun () ->
                     Obs.with_span ~cat:"session"
@@ -893,16 +716,18 @@ let admit srv sid kind f =
                         [ ("sid", string_of_int sid); ("kind", kind);
                           ("target", sess.shared.tname);
                           ("route",
-                           match route with
-                           | Home -> "home"
-                           | Hedged rep -> "hedged:" ^ rep.tname) ]
+                           match hedge with
+                           | None -> "home"
+                           | Some rep -> "hedged:" ^ rep.tname) ]
                       "session.op"
                       (fun () ->
                         let op = Obs.Trace.current_span () in
-                        if dqspan <> 0 then
-                          Obs.Trace.link ~kind:"probation" ~from_span:dqspan
+                        (* a probation re-admission links back to the op
+                           that parked the target *)
+                        if d.Health.readmit && sess.shared.qspan <> 0 then
+                          Obs.Trace.link ~kind:"probation" ~from_span:sess.shared.qspan
                             ~to_span:op;
-                        if dcanary then
+                        if d.Health.canary then
                           Obs.with_span ~cat:"session"
                             ~attrs:[ ("target", sess.shared.tname) ]
                             "session.canary"
@@ -910,7 +735,7 @@ let admit srv sid kind f =
                               Obs.Trace.link ~kind:"canary" ~from_span:op
                                 ~to_span:(Obs.Trace.current_span ());
                               fire_canary sess sess.shared);
-                        run_isolated srv ~route sess (fun () -> f sess)))
+                        run_isolated srv ~hedge sess (fun () -> f sess)))
               in
               bump sess kind;
               (* an in-session recovery replaces the panel object; keep
@@ -924,8 +749,13 @@ let admit srv sid kind f =
 let vplot srv sid ?title src =
   admit srv sid "plots" (fun sess -> Visualinux.vplot sess.vis ?title src)
 
+(* A refused refresh leaves the pane showing an older state: say so. *)
 let vrefresh srv sid ~pane =
-  admit srv sid "refreshes" (fun sess -> Visualinux.vrefresh sess.vis ~pane)
+  let r = admit srv sid "refreshes" (fun sess -> Visualinux.vrefresh sess.vis ~pane) in
+  (match (r, Hashtbl.find_opt srv.sessions sid) with
+  | Rejected _, Some s -> Visualinux.mark_stale s.vis ~pane
+  | _ -> ());
+  r
 
 let vctrl srv sid cmd = admit srv sid "ctrls" (fun sess -> Visualinux.vctrl sess.vis cmd)
 
@@ -1245,11 +1075,11 @@ let status srv =
               | Transport.Half_open -> "half-open")
       in
       let state =
-        match sh.state with
-        | Healthy -> "healthy"
-        | Degraded _ -> "DEGRADED (shedding/hedging)"
-        | Quarantine q -> Printf.sprintf "QUARANTINE (session %d probing)" q.prober
-        | Probation p ->
+        match sh.health.Health.mode with
+        | Health.Healthy -> "healthy"
+        | Health.Degraded _ -> "DEGRADED (shedding/hedging)"
+        | Health.Quarantine q -> Printf.sprintf "QUARANTINE (session %d probing)" q.prober
+        | Health.Probation p ->
             Printf.sprintf "probation (waiting: %s)"
               (String.concat "," (List.map string_of_int p.waiting))
       in
@@ -1373,11 +1203,11 @@ let vtop ?(top = 5) srv =
     (fun tname ->
       let sh = shared_of srv tname in
       let state =
-        match sh.state with
-        | Healthy -> "healthy"
-        | Degraded _ -> "DEGRADED"
-        | Quarantine q -> Printf.sprintf "QUAR(p%d)" q.prober
-        | Probation p -> Printf.sprintf "prob(%d)" (List.length p.waiting)
+        match sh.health.Health.mode with
+        | Health.Healthy -> "healthy"
+        | Health.Degraded _ -> "DEGRADED"
+        | Health.Quarantine q -> Printf.sprintf "QUAR(p%d)" q.prober
+        | Health.Probation p -> Printf.sprintf "prob(%d)" (List.length p.waiting)
       in
       let fault, lat, wire =
         match Target.transport sh.target with

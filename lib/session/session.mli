@@ -26,11 +26,13 @@
     panes from their caches; once the probe succeeds the waiting
     sessions are re-admitted one per op (no thundering herd).
 
-    {e Adaptive health} (this layer): the wire's fault EWMA
-    ({!Transport.ewma}) drives a {e graduated} Healthy -> Degraded ->
-    Quarantined state machine with hysteresis
-    ({!Transport.Health.step}), so a gray-failing target is shed or
-    rerouted {e before} its breaker ever opens.  On a Degraded target,
+    {e Adaptive health} (this layer): one pure state machine per target
+    ({!Health}: [step], [route], [leave]) takes the wire's fault EWMA
+    ({!Transport.ewma}) and its link/breaker verdict and walks a
+    {e graduated} Healthy -> Degraded -> Quarantine -> Probation cycle
+    with hysteresis, so a gray-failing target is shed or rerouted
+    {e before} its breaker ever opens; the server only carries out the
+    effects it returns.  On a Degraded target,
     load is shed by weighted fair credits (high-{!set_weight} sessions
     degrade last, with a [ceil(stride/weight)] starvation bound); when
     another registered target exposes the same kernel image over a
@@ -106,13 +108,9 @@ val create : ?capacity:int -> Kstate.t -> server
 (** A server over one booted kernel with a default local (transportless)
     target ["t0"].  [capacity] (default 8) bounds concurrent sessions. *)
 
-val capacity : server -> int
-
 val add_target : server -> ?transport:Transport.t -> string -> unit
 (** Register a named shared target handle (its own link, breaker and
     read cache).  @raise Invalid_argument on duplicate names. *)
-
-val target_names : server -> string list
 
 (** A shared target's degradation state, as seen from outside.
     [`Degraded] is the graduated middle state: still serving, but
@@ -181,7 +179,8 @@ val vplot :
 val vrefresh :
   server -> sid -> pane:Panel.pane_id ->
   (Viewcl.result * Visualinux.plot_stats) option outcome
-(** Incremental re-plot of one pane (see {!Visualinux.vrefresh}). *)
+(** Incremental re-plot of one pane (see {!Visualinux.vrefresh}).  A
+    refused refresh marks the pane [STALE] until one is served. *)
 
 val vctrl : server -> sid -> Visualinux.vctrl -> Visualinux.vctrl_result outcome
 
@@ -250,9 +249,6 @@ val wal_of : server -> Durable.t option
 val set_wal_snapshot_limit : server -> int -> unit
 (** Tail records that trigger a snapshot compaction (default 256,
     clamped to >= 1). *)
-
-val wal_snapshot : server -> unit
-(** Force a snapshot compaction now (no-op without an attached WAL). *)
 
 val fleet_image : server -> string
 (** A one-record durable image of the fleet (a snapshot, framed and

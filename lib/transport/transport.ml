@@ -75,7 +75,7 @@ let error_to_string = function
 type t = {
   prof : profile;
   seed : int;
-  mutable policy : policy;
+  policy : policy;
   mutable faults : faults;  (* per-session overlay (swapped per op) *)
   mutable base_faults : faults;  (* the wire's own weather *)
   mutable rng : int;
@@ -132,8 +132,6 @@ let breaker t = t.brk
 let set_faults t f = t.faults <- f
 let faults_of t = t.faults
 let set_base_faults t f = t.base_faults <- f
-let base_faults_of t = t.base_faults
-let set_policy t p = t.policy <- p
 let set_gate t g = t.gate <- g
 let set_retry_gate t g = t.retry_gate <- g
 
@@ -155,45 +153,6 @@ let note_wire t ~ok ~ms =
   t.ew_lat <-
     (if t.ew_n = 0 then ms else ((1. -. ewma_alpha) *. t.ew_lat) +. (ewma_alpha *. ms));
   t.ew_n <- t.ew_n + 1
-
-(* Graduated health grades over the fault EWMA, with hysteresis: each
-   band is entered at its [_hi] threshold and left at its (lower) [_lo]
-   threshold, and no transition fires until [window] observations have
-   accumulated since the last one — so the grade cannot flap inside one
-   window however the EWMA wiggles. *)
-module Health = struct
-  type grade = Fine | Degraded | Sick
-
-  type thresholds = {
-    degrade_hi : float;
-    degrade_lo : float;
-    sick_hi : float;
-    sick_lo : float;
-    window : int;
-  }
-
-  let default_thresholds =
-    { degrade_hi = 0.15; degrade_lo = 0.05; sick_hi = 0.45; sick_lo = 0.25; window = 8 }
-
-  let grade_to_string = function
-    | Fine -> "healthy"
-    | Degraded -> "degraded"
-    | Sick -> "sick"
-
-  let step th g ~fr ~since =
-    if since < th.window then g
-    else
-      match g with
-      | Fine -> if fr >= th.degrade_hi then Degraded else Fine
-      | Degraded ->
-          if fr >= th.sick_hi then Sick
-          else if fr <= th.degrade_lo then Fine
-          else Degraded
-      | Sick ->
-          if fr <= th.degrade_lo then Fine
-          else if fr <= th.sick_lo then Degraded
-          else Sick
-end
 
 let charge t ms =
   t.clock_ms <- t.clock_ms +. ms;
@@ -263,7 +222,6 @@ let read_succeeded t =
 (* Budget *)
 
 let set_deadline t d = t.deadline_ms <- d
-let deadline t = t.deadline_ms
 
 let begin_plot t =
   t.spent_ms <- 0.;
@@ -433,29 +391,13 @@ type snapshot = {
   deadline_hits : int;
   retry_denials : int;
   sim_ms : float;
-  breaker_now : breaker;
-  link_now : link;
 }
 
 let snapshot (t : t) =
   { reads_ok = t.reads_ok; attempts = t.attempts; retries = t.retries; stalls = t.stalls;
     drops = t.drops; disconnects = t.disconnects; reconnects = t.reconnects;
     breaker_trips = t.breaker_trips; short_circuits = t.short_circuits;
-    deadline_hits = t.deadline_hits; retry_denials = t.retry_denials; sim_ms = t.clock_ms;
-    breaker_now = t.brk; link_now = t.link }
-
-let reset_counters (t : t) =
-  t.reads_ok <- 0;
-  t.attempts <- 0;
-  t.retries <- 0;
-  t.stalls <- 0;
-  t.drops <- 0;
-  t.disconnects <- 0;
-  t.reconnects <- 0;
-  t.breaker_trips <- 0;
-  t.short_circuits <- 0;
-  t.deadline_hits <- 0;
-  t.retry_denials <- 0
+    deadline_hits = t.deadline_hits; retry_denials = t.retry_denials; sim_ms = t.clock_ms }
 
 let health_line t =
   let budget =

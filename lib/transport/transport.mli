@@ -118,10 +118,6 @@ val set_base_faults : t -> faults -> unit
     the link.  Defaults to {!no_faults}, under which seeded runs replay
     exactly as before this knob existed. *)
 
-val base_faults_of : t -> faults
-
-val set_policy : t -> policy -> unit
-
 val set_retry_gate : t -> (unit -> bool) option -> unit
 (** Install (or clear) a retry-budget hook consulted before every retry
     of a dropped reply.  Returning [false] denies the retry: the read
@@ -155,8 +151,6 @@ val reconnect : t -> unit
 
 val set_deadline : t -> float option -> unit
 (** Per-plot budget in simulated ms; [None] (default) is unlimited. *)
-
-val deadline : t -> float option
 
 val begin_plot : t -> unit
 (** Reset the budget spend for a new plot. *)
@@ -200,12 +194,9 @@ type snapshot = {
   deadline_hits : int;  (** reads refused by an exhausted budget *)
   retry_denials : int;  (** retries refused by the retry-budget gate *)
   sim_ms : float;  (** total simulated wire time ever charged *)
-  breaker_now : breaker;
-  link_now : link;
 }
 
 val snapshot : t -> snapshot
-val reset_counters : t -> unit
 
 (* ------------------------------------------------------------------ *)
 (** {1 Adaptive wire health} *)
@@ -216,7 +207,8 @@ val reset_counters : t -> unit
     decays toward 0 on a clean read; the latency EWMA tracks the
     simulated ms each observed attempt charged.  This is the gray-
     failure detector: stalls and drops that never trip the breaker
-    (a stalled read still {e succeeds}) still raise the fault EWMA. *)
+    (a stalled read still {e succeeds}) still raise the fault EWMA,
+    which the session server's target-health machine grades. *)
 type ewma = {
   ew_fault_rate : float;  (** in [0,1]; 0 = perfectly clean *)
   ew_latency_ms : float;
@@ -231,33 +223,6 @@ val ewma_alpha : float
 val ewma_step : float -> ok:bool -> float
 (** One pure EWMA step: [(1-alpha)*x + alpha*(if ok then 0 else 1)].
     Exposed so the decay law is unit-testable. *)
-
-(** Graduated health grades over the fault EWMA, with hysteresis: a
-    band is entered at its [_hi] threshold and only left at its lower
-    [_lo] threshold, and {!Health.step} refuses any transition until
-    [window] steps have passed since the last one — the grade cannot
-    flap within one window however the EWMA wiggles.  The session
-    server maps [Fine]/[Degraded]/[Sick] onto its
-    Healthy/Degraded/Quarantined target states. *)
-module Health : sig
-  type grade = Fine | Degraded | Sick
-
-  type thresholds = {
-    degrade_hi : float;  (** [Fine -> Degraded] at or above this *)
-    degrade_lo : float;  (** back to [Fine] at or below this *)
-    sick_hi : float;  (** [Degraded -> Sick] at or above this *)
-    sick_lo : float;  (** [Sick -> Degraded] at or below this *)
-    window : int;  (** min steps between any two transitions *)
-  }
-
-  val default_thresholds : thresholds
-  val grade_to_string : grade -> string
-
-  val step : thresholds -> grade -> fr:float -> since:int -> grade
-  (** [step th g ~fr ~since]: the next grade given the current fault
-      EWMA [fr] and [since] steps elapsed since the last transition.
-      Pure; returns [g] unchanged while [since < th.window]. *)
-end
 
 val health_line : t -> string
 (** One-line health summary for plot output, e.g.

@@ -1,5 +1,5 @@
-(* Adaptive target health (ISSUE 7): the EWMA decay law and the
-   hysteresis of the graduated grade machine (qcheck), retry-budget
+(* Adaptive target health: the EWMA decay law and the hysteresis of
+   the target-health machine (qcheck), retry-budget
    exhaustion degrading to Timed_out faults instead of raising,
    the weighted-shed starvation bound, hedged failover producing
    byte-identical renders with the sick breaker still Closed, the
@@ -80,7 +80,29 @@ let ewma_converges_to_observed_rate =
       !in_range && Float.abs (!x -. rate) < 0.35)
 
 (* ------------------------------------------------------------------ *)
-(* Hysteresis: the grade machine cannot flap within one window *)
+(* Hysteresis: the health machine cannot flap within one window *)
+
+(* An op by [actor] on a wire that is up with its breaker closed. *)
+let obs ?(actor = 1) ?(live = [ (1, 1) ]) ?(recovered = true) fr =
+  { Health.actor; live; link_bad = false; link_recovered = recovered; fault_rate = fr }
+
+let same_mode a b =
+  match (a, b) with
+  | Health.Healthy, Health.Healthy
+  | Health.Degraded _, Health.Degraded _
+  | Health.Quarantine _, Health.Quarantine _
+  | Health.Probation _, Health.Probation _ ->
+      true
+  | _ -> false
+
+(* Healthy <-> Degraded and Degraded -> Quarantine: the transitions the
+   fault EWMA drives (quarantine exit is the link-recovery rule). *)
+let ewma_driven a b =
+  match (a, b) with
+  | Health.Healthy, Health.Degraded _
+  | Health.Degraded _, (Health.Healthy | Health.Quarantine _) ->
+      true
+  | _ -> false
 
 let health_no_flap_within_window =
   QCheck.Test.make
@@ -88,51 +110,239 @@ let health_no_flap_within_window =
     ~count:300
     QCheck.(list_of_size (QCheck.Gen.int_range 1 120) (int_bound 1000))
     (fun frs ->
-      let frs = List.map (fun m -> float_of_int m /. 1000.) frs in
-      let th = Transport.Health.default_thresholds in
-      let grade = ref Transport.Health.Fine in
-      let since = ref th.Transport.Health.window in
+      let st = ref { Health.initial with since = Health.window } in
+      let since = ref Health.window in
       let gaps_ok = ref true in
       List.iter
-        (fun fr ->
-          let g' = Transport.Health.step th !grade ~fr ~since:!since in
-          if g' <> !grade then begin
-            (* a transition fired: the machine must have waited out the
-               full window since the previous one *)
-            if !since < th.Transport.Health.window then gaps_ok := false;
-            grade := g';
+        (fun m ->
+          let st', _ = Health.step !st (obs (float_of_int m /. 1000.)) in
+          incr since;
+          if not (same_mode !st.Health.mode st'.Health.mode) then begin
+            (* a transition fired; if the EWMA drove it, the machine must
+               have seen a full window of observations since the previous one *)
+            if ewma_driven !st.Health.mode st'.Health.mode && !since < Health.window then
+              gaps_ok := false;
             since := 0
-          end
-          else incr since)
+          end;
+          st := st')
         frs;
       !gaps_ok)
 
 let health_step_frozen_inside_window =
   QCheck.Test.make ~name:"health grade: step is the identity while since < window"
     ~count:300
-    QCheck.(pair (int_bound 1000) (int_bound 7))
+    QCheck.(pair (int_bound 1000) (int_bound (Health.window - 2)))
     (fun (mills, since) ->
+      (* [since] observations have passed since the last transition, so
+         the next one still falls inside the window *)
       let fr = float_of_int mills /. 1000. in
-      let th = Transport.Health.default_thresholds in
-      List.for_all
-        (fun g -> Transport.Health.step th g ~fr ~since = g)
-        [ Transport.Health.Fine; Transport.Health.Degraded; Transport.Health.Sick ])
+      let next ?actor ?live mode =
+        let st = { Health.initial with mode; since } in
+        (fst (Health.step st (obs ?actor ?live fr))).Health.mode
+      in
+      List.for_all (fun mode -> next mode = mode) [ Health.Healthy; Health.Degraded [] ]
+      &&
+      (* Quarantine ignores the window: it is left by the link-recovery
+         rule alone, on a non-prober's op exactly when fr <= sick_lo *)
+      let q = Health.Quarantine { prober = 1; probes = 0 } in
+      (next ~actor:2 ~live:[ (1, 1); (2, 1) ] q = q) = (fr > Health.sick_lo))
 
 let test_health_bands () =
-  let open Transport.Health in
-  let th = default_thresholds in
-  let step g fr = step th g ~fr ~since:th.window in
-  Alcotest.(check bool) "clean wire stays Fine" true (step Fine 0.0 = Fine);
+  let open Health in
+  let step ?(o = fun fr -> obs fr) mode fr =
+    (fst (step { initial with mode; since = window } (o fr))).mode
+  in
+  Alcotest.(check bool) "clean wire stays Fine" true (step Healthy 0.0 = Healthy);
   Alcotest.(check bool) "Fine -> Degraded at degrade_hi" true
-    (step Fine th.degrade_hi = Degraded);
+    (step Healthy degrade_hi = Degraded []);
   Alcotest.(check bool) "Degraded holds between the bands" true
-    (step Degraded ((th.degrade_lo +. th.sick_hi) /. 2.) = Degraded);
+    (step (Degraded []) ((degrade_lo +. sick_hi) /. 2.) = Degraded []);
   Alcotest.(check bool) "Degraded -> Fine only at degrade_lo" true
-    (step Degraded th.degrade_lo = Fine && step Degraded (th.degrade_lo +. 0.01) = Degraded);
+    (step (Degraded []) degrade_lo = Healthy
+    && step (Degraded []) (degrade_lo +. 0.01) = Degraded []);
   Alcotest.(check bool) "Degraded -> Sick at sick_hi" true
-    (step Degraded th.sick_hi = Sick);
-  Alcotest.(check bool) "Sick -> Degraded at sick_lo, not above" true
-    (step Sick th.sick_lo = Degraded && step Sick (th.sick_lo +. 0.01) = Sick)
+    (match step (Degraded []) sick_hi with Quarantine _ -> true | _ -> false);
+  (* quarantine exit: alice (1) probes while bob (2) acts *)
+  let q = Quarantine { prober = 1; probes = 0 } in
+  let bob recovered fr = obs ~actor:2 ~live:[ (1, 1); (2, 1) ] ~recovered fr in
+  Alcotest.(check bool)
+    "Quarantine exits only at fr <= sick_lo with the link Up and the breaker Closed, not above"
+    true
+    (step ~o:(bob true) q sick_lo = Probation { waiting = [ 2 ]; skips = 0 }
+    && step ~o:(bob true) q (sick_lo +. 0.01) = q
+    && step ~o:(bob false) q sick_lo = q)
+
+(* ------------------------------------------------------------------ *)
+(* Model check: random interleavings against the machine's invariants *)
+
+type input =
+  | Admit of int * bool  (* a live session (by index) knocks; is a replica up? *)
+  | Observe of int * int  (* a live session's op left this fault EWMA (mills) *)
+  | Fault of int  (* the wire's fault EWMA that admitted ops see (mills) *)
+  | Link of bool * bool  (* link_bad, link_recovered *)
+  | Open of int  (* a session of this weight opens *)
+  | Close of int
+  | Reweight of int * int
+
+let input_gen =
+  let open QCheck.Gen in
+  let mills = oneof [ int_bound 1000; int_bound 300 ] in
+  frequency
+    [ (8, map2 (fun i r -> Admit (i, r)) (int_bound 7) (frequencyl [ (3, false); (1, true) ]));
+      (2, map2 (fun i m -> Observe (i, m)) (int_bound 7) mills);
+      (2, map (fun m -> Fault m) mills);
+      (1, oneofl [ Link (true, false); Link (false, true); Link (false, false) ]);
+      (2, map (fun w -> Open w) (int_range 1 4));
+      (1, map (fun i -> Close i) (int_bound 7));
+      (1, map2 (fun i w -> Reweight (i, w)) (int_bound 7) (int_range 1 4)) ]
+
+let input_to_string = function
+  | Admit (i, r) -> Printf.sprintf "admit#%d%s" i (if r then "+replica" else "")
+  | Observe (i, m) -> Printf.sprintf "observe#%d@%d" i m
+  | Fault m -> Printf.sprintf "fault@%d" m
+  | Link (b, r) -> Printf.sprintf "link(bad=%b,recovered=%b)" b r
+  | Open w -> Printf.sprintf "open(w%d)" w
+  | Close i -> Printf.sprintf "close#%d" i
+  | Reweight (i, w) -> Printf.sprintf "reweight#%d(w%d)" i w
+
+let arb_inputs =
+  QCheck.make
+    ~print:(fun l -> String.concat " " (List.map input_to_string l))
+    QCheck.Gen.(list_size (int_range 0 80) input_gen)
+
+(* How often each interesting event fired across the whole run, so the
+   model check can prove it was not vacuous. *)
+let coverage : (string, int) Hashtbl.t = Hashtbl.create 8
+let cover k =
+  Hashtbl.replace coverage k (1 + Option.value ~default:0 (Hashtbl.find_opt coverage k))
+
+let model_holds inputs =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let st = ref Health.initial and live = ref [] and next = ref 1 in
+  let fr = ref 0. and bad = ref false and recovered = ref true in
+  (* observations since the last transition [step] made *)
+  let since = ref Health.window in
+  (* consecutive sheds per sid within one Degraded episode at a fixed stride *)
+  let streak = Hashtbl.create 8 in
+  let pick i = List.nth !live (i mod List.length !live) in
+  let step actor fault_rate =
+    let m0 = !st.Health.mode in
+    let st', _ =
+      Health.step !st
+        { Health.actor; live = !live; link_bad = !bad; link_recovered = !recovered; fault_rate }
+    in
+    let m1 = st'.Health.mode in
+    incr since;
+    if not (same_mode m0 m1) then begin
+      (match (m0, m1) with
+      | Health.Degraded _, Health.Quarantine _ when !bad -> ()
+      | _ ->
+          if ewma_driven m0 m1 && !since < Health.window then
+            fail "EWMA-driven transition %d observations after the previous one" !since);
+      cover "transition";
+      since := 0
+    end;
+    (match m0 with
+    | Health.Probation { waiting; _ } when not !bad -> (
+        match (waiting, m1) with
+        | ([] | [ _ ]), Health.Healthy -> ()
+        | _ :: rest, Health.Probation p when p.waiting = rest -> cover "readmitted"
+        | _ -> fail "probation did not re-admit exactly one waiter")
+    | _ -> ());
+    st := st'
+  in
+  let admit sid w replica =
+    let m0 = !st.Health.mode in
+    let r, st' = Health.route !st ~live:!live sid ~replica in
+    st := st';
+    (match (m0, r) with
+    | Health.Probation { waiting = head :: _; _ }, Ok d when sid = head ->
+        if not d.Health.readmit then fail "probation head %d admitted without readmit" sid
+    | Health.Probation { waiting = head :: _; _ }, Error _ when sid = head ->
+        fail "probation head %d refused" sid
+    | _ -> ());
+    match (m0, r) with
+    | _, Ok d ->
+        Hashtbl.remove streak sid;
+        if d.Health.hedge then cover "hedged";
+        step sid !fr
+    | Health.Degraded _, Error (Health.Shed { deficit }) when not replica ->
+        if deficit <= 0 then fail "shed with deficit %d" deficit;
+        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt streak sid) in
+        Hashtbl.replace streak sid n;
+        let stride = Health.stride !live in
+        if n > (stride + w - 1) / w then
+          fail "weight-%d session %d shed %d times in a row (stride %d)" w sid n stride;
+        cover "shed"
+    | (Health.Quarantine _ | Health.Probation _), Error (Health.Quarantined { prober })
+      when not replica ->
+        if not (List.mem_assoc prober !live) then fail "refusal names dead prober %d" prober;
+        cover "quarantined"
+    | _, Error _ -> fail "refusal of session %d in the wrong mode" sid
+  in
+  let membership_changed () = Hashtbl.reset streak in
+  List.iter
+    (fun input ->
+      (match input with
+      | Admit (i, replica) when !live <> [] ->
+          let sid, w = pick i in
+          admit sid w replica
+      | Observe (i, m) when !live <> [] -> step (fst (pick i)) (float_of_int m /. 1000.)
+      | Fault m -> fr := float_of_int m /. 1000.
+      | Link (b, r) ->
+          bad := b;
+          recovered := r
+      | Open w ->
+          live := !live @ [ (!next, w) ];
+          incr next;
+          membership_changed ()
+      | Close i when !live <> [] ->
+          let sid, _ = pick i in
+          live := List.remove_assoc sid !live;
+          st := Health.leave !st sid ~live:!live;
+          membership_changed ()
+      | Reweight (i, w) when !live <> [] ->
+          let sid, _ = pick i in
+          live := List.map (fun (s, w0) -> (s, if s = sid then w else w0)) !live;
+          membership_changed ()
+      | _ -> ());
+      (* invariants over the state after every input *)
+      let is_live s = List.mem_assoc s !live in
+      match !st.Health.mode with
+      | Health.Healthy -> Hashtbl.reset streak
+      | Health.Degraded credits ->
+          cover "degraded";
+          if not (List.for_all (fun (s, c) -> is_live s && c >= 0) credits) then
+            fail "credits name a closed session or went negative"
+      | Health.Quarantine { prober; _ } ->
+          cover "quarantine";
+          Hashtbl.reset streak;
+          if not (is_live prober) then fail "quarantine prober %d is not live" prober
+      | Health.Probation { waiting; _ } ->
+          cover "probation";
+          Hashtbl.reset streak;
+          if waiting = [] || not (List.for_all is_live waiting) then
+            fail "probation queue is empty or names a closed session";
+          if List.length (List.sort_uniq compare waiting) <> List.length waiting then
+            fail "probation queue repeats a session")
+    inputs;
+  true
+
+let health_model_check =
+  QCheck.Test.make ~name:"health machine: model check over random interleavings"
+    ~count:10_000 arb_inputs model_holds
+
+let test_health_model_check () =
+  Hashtbl.reset coverage;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |]) health_model_check;
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "the run exercised %s" k)
+        true
+        (Hashtbl.mem coverage k))
+    [ "degraded"; "shed"; "hedged"; "quarantine"; "quarantined"; "probation"; "readmitted";
+      "transition" ]
 
 (* ------------------------------------------------------------------ *)
 (* Retry budgets: exhaustion degrades, never raises *)
@@ -376,6 +586,8 @@ let suite =
     QCheck_alcotest.to_alcotest health_step_frozen_inside_window;
     Alcotest.test_case "health grade bands + hysteresis thresholds" `Quick
       test_health_bands;
+    Alcotest.test_case "health machine: model check, 10k seeded interleavings" `Quick
+      test_health_model_check;
     Alcotest.test_case "retry-budget exhaustion degrades to Timed_out" `Quick
       test_retry_budget_exhaustion;
     Alcotest.test_case "weighted shed: ceil(stride/weight) starvation bound" `Quick

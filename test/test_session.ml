@@ -273,6 +273,72 @@ let test_breaker_open_quarantine_and_fair_recovery () =
     (List.map Target.fault_to_string (Session.fault_journal srv a))
 
 (* ------------------------------------------------------------------ *)
+(* A refused refresh serves [STALE] *)
+
+(* The first line of a render is its header: [== title ==], tagged
+   [STALE] when the pane predates the target's current state. *)
+let header txt = List.hd (String.split_on_char '\n' txt)
+
+let test_refused_refresh_is_stale () =
+  (* dead link: the refresh is admitted, but the link is down, so
+     nothing was re-extracted *)
+  let kernel = Kstate.boot () in
+  let w = Workload.create kernel in
+  Workload.run w;
+  let srv = Session.create kernel in
+  let tr = Transport.create ~seed:7 Transport.qemu_local in
+  Session.add_target srv ~transport:tr "wire";
+  let a = admitted (Session.open_session ~target:"wire" srv "alice") in
+  let p, _, _ = admitted (Session.vplot srv a (fig "3-4")) in
+  Workload.step w;
+  Transport.disconnect tr;
+  Alcotest.(check bool) "the refresh is admitted with nothing served" true
+    (Session.vrefresh srv a ~pane:p.Panel.pid = Session.Admitted None);
+  let txt = Option.get (Session.render srv a p.Panel.pid) in
+  Alcotest.(check bool) "the header carries [STALE]" true (contains (header txt) "[STALE]");
+  Alcotest.(check int) "one stale render" 1 (Session.counter srv a "stale.renders");
+  (* shed: a Degraded target with no replica refuses a light session *)
+  let srv = Session.create kernel in
+  let tr = Transport.create ~seed:5 Transport.qemu_local in
+  Session.add_target srv ~transport:tr "wire";
+  let a = admitted (Session.open_session ~target:"wire" ~weight:4 srv "alice") in
+  let b = admitted (Session.open_session ~target:"wire" srv "bob") in
+  Target.set_read_cache (Option.get (Session.vis srv a)).Visualinux.target false;
+  let pb, _, _ = admitted (Session.vplot srv b (fig "3-4")) in
+  Transport.set_base_faults tr
+    { Transport.stall_rate = 0.10; drop_rate = 0.10; disconnect_rate = 0. };
+  let rec warm n =
+    if n = 0 then Alcotest.fail "target never reached Degraded"
+    else if Session.target_health srv "wire" <> `Degraded then begin
+      ignore (Session.vplot srv a (fig "3-4"));
+      warm (n - 1)
+    end
+  in
+  warm 24;
+  (match Session.vrefresh srv b ~pane:pb.Panel.pid with
+  | Session.Rejected { reason = Session.Shed _ } -> ()
+  | _ -> Alcotest.fail "bob's refresh must be shed");
+  let txt = Option.get (Session.render srv b pb.Panel.pid) in
+  Alcotest.(check bool) "the shed pane's header carries [STALE]" true
+    (contains (header txt) "[STALE]");
+  Alcotest.(check int) "one stale render after the shed" 1
+    (Session.counter srv b "stale.renders");
+  (* the next served refresh clears the tag *)
+  Transport.set_base_faults tr Transport.no_faults;
+  let rec served n =
+    if n = 0 then Alcotest.fail "bob's refresh was never served again"
+    else
+      match Session.vrefresh srv b ~pane:pb.Panel.pid with
+      | Session.Admitted (Some _) -> ()
+      | _ ->
+          ignore (Session.vplot srv a (fig "3-4"));
+          served (n - 1)
+  in
+  served 80;
+  Alcotest.(check bool) "a served refresh clears [STALE]" false
+    (contains (header (Option.get (Session.render srv b pb.Panel.pid))) "[STALE]")
+
+(* ------------------------------------------------------------------ *)
 (* Admission control *)
 
 let test_capacity_and_budgets () =
@@ -454,6 +520,8 @@ let suite =
     QCheck_alcotest.to_alcotest isolation_under_fault_storm;
     Alcotest.test_case "breaker-Open: quarantine, stale service, fair re-admission" `Quick
       test_breaker_open_quarantine_and_fair_recovery;
+    Alcotest.test_case "a refused refresh serves [STALE]" `Quick
+      test_refused_refresh_is_stale;
     Alcotest.test_case "admission: capacity + budgets are typed rejections" `Quick
       test_capacity_and_budgets;
     Alcotest.test_case "cross-session cache hits" `Quick test_cross_session_cache_hits;
