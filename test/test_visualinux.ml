@@ -311,6 +311,103 @@ let test_plot_stats_sane () =
     stats.Visualinux.bytes;
   Alcotest.(check bool) "wall time measured" true (stats.Visualinux.wall_ms >= 0.)
 
+(* The pane-extraction contract of every entry point that runs a pane's
+   program against the target (vplot, Split, vrefresh, refresh_stale,
+   recover), each on a dead link and with a program that raises
+   Viewcl.Error: the value returned, the pane's [STALE] flag, and whether
+   the pane's plot cache survived. *)
+let test_extraction_contract () =
+  let kernel = Kstate.boot () in
+  Workload.run (Workload.create kernel);
+  let good = (Option.get (Scripts.find "7-1")).Scripts.source in
+  let bad = "define" in
+  let fresh () =
+    let tr = Transport.create Transport.qemu_local in
+    (tr, Visualinux.attach ~transport:tr kernel)
+  in
+  let stale s id = (Panel.pane s.Visualinux.panel id).Panel.stale in
+  let cached s id = Hashtbl.mem s.Visualinux.caches id in
+  (* a primary pane holding [bad], with a plot cache the failure must drop *)
+  let bad_pane ?stale s =
+    let p = Panel.open_primary ?stale s.Visualinux.panel ~program:bad (Vgraph.create ()) in
+    Hashtbl.replace s.Visualinux.caches p.Panel.pid (Viewcl.create_cache ());
+    p.Panel.pid
+  in
+  let raises_error f =
+    match f () with _ -> false | exception Viewcl.Error _ -> true
+  in
+  let check_bool = Alcotest.(check bool) in
+  (* vplot *)
+  let tr, s = fresh () in
+  Transport.disconnect tr;
+  let p, _, stats = Visualinux.vplot s good in
+  check_bool "vplot down: pane opened live" false (stale s p.Panel.pid);
+  check_bool "vplot down: cache kept" true (cached s p.Panel.pid);
+  check_bool "vplot down: degraded plot" true (stats.Visualinux.boxes < 5);
+  let _, s = fresh () in
+  check_bool "vplot error: raises" true (raises_error (fun () -> Visualinux.vplot s bad));
+  Alcotest.(check (list int)) "vplot error: no pane" [] (Panel.pane_ids s.Visualinux.panel);
+  check_bool "vplot error: no cache" true (Hashtbl.length s.Visualinux.caches = 0);
+  (* vctrl Split *)
+  let split s program =
+    Visualinux.vctrl s (Visualinux.Split { pane = 1; dir = `Vertical; program })
+  in
+  let tr, s = fresh () in
+  ignore (Visualinux.vplot s good);
+  Transport.disconnect tr;
+  (match split s good with
+  | Visualinux.Opened id ->
+      Alcotest.(check int) "split down: new pane" 2 id;
+      check_bool "split down: pane live" false (stale s id);
+      check_bool "split down: cache kept" true (cached s id)
+  | _ -> Alcotest.fail "split down: expected Opened");
+  let _, s = fresh () in
+  ignore (Visualinux.vplot s good);
+  check_bool "split error: raises" true (raises_error (fun () -> split s bad));
+  Alcotest.(check (list int)) "split error: no new pane" [ 1 ]
+    (Panel.pane_ids s.Visualinux.panel);
+  check_bool "split error: no new cache" false (cached s 2);
+  (* vrefresh *)
+  let tr, s = fresh () in
+  let p, _, _ = Visualinux.vplot s good in
+  Transport.disconnect tr;
+  check_bool "vrefresh down: None" true (Visualinux.vrefresh s ~pane:p.Panel.pid = None);
+  check_bool "vrefresh down: stale" true (stale s p.Panel.pid);
+  check_bool "vrefresh down: cache kept" true (cached s p.Panel.pid);
+  let _, s = fresh () in
+  let id = bad_pane s in
+  check_bool "vrefresh error: None" true (Visualinux.vrefresh s ~pane:id = None);
+  check_bool "vrefresh error: stale" true (stale s id);
+  check_bool "vrefresh error: cache dropped" false (cached s id);
+  (* refresh_stale *)
+  let tr, s = fresh () in
+  let p, _, _ = Visualinux.vplot s good in
+  Panel.mark_all_stale s.Visualinux.panel;
+  Transport.disconnect tr;
+  Alcotest.(check (list int)) "refresh_stale down: nothing live" []
+    (Visualinux.refresh_stale s);
+  check_bool "refresh_stale down: stale" true (stale s p.Panel.pid);
+  check_bool "refresh_stale down: cache kept" true (cached s p.Panel.pid);
+  let _, s = fresh () in
+  let id = bad_pane ~stale:true s in
+  Alcotest.(check (list int)) "refresh_stale error: nothing live" []
+    (Visualinux.refresh_stale s);
+  check_bool "refresh_stale error: stale" true (stale s id);
+  check_bool "refresh_stale error: cache dropped" false (cached s id);
+  (* recover *)
+  let tr, s = fresh () in
+  let p, _, _ = Visualinux.vplot s good in
+  Transport.disconnect tr;
+  Alcotest.(check int) "recover down: reconnects, nothing stale" 0 (Visualinux.recover s);
+  check_bool "recover down: link up" true (Transport.link tr = Transport.Up);
+  check_bool "recover down: pane live" false (stale s p.Panel.pid);
+  check_bool "recover down: caches reset" true (Hashtbl.length s.Visualinux.caches = 0);
+  let _, s = fresh () in
+  let id = bad_pane s in
+  Alcotest.(check int) "recover error: one stale pane" 1 (Visualinux.recover s);
+  check_bool "recover error: stale" true (stale s id);
+  check_bool "recover error: caches reset" true (Hashtbl.length s.Visualinux.caches = 0)
+
 let suite =
   [ Alcotest.test_case "script library parses" `Quick test_scripts_parse;
     Alcotest.test_case "C1: all Table-2 figures plot" `Slow test_all_figures_plot;
@@ -325,4 +422,5 @@ let suite =
     Alcotest.test_case "session save + replay" `Quick test_session_replay;
     Alcotest.test_case "extraction determinism" `Slow test_extraction_deterministic;
     Alcotest.test_case "replot isomorphism" `Quick test_replot_isomorphic;
-    Alcotest.test_case "plot statistics" `Quick test_plot_stats_sane ]
+    Alcotest.test_case "plot statistics" `Quick test_plot_stats_sane;
+    Alcotest.test_case "pane extraction contract" `Quick test_extraction_contract ]
