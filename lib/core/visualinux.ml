@@ -68,10 +68,6 @@ let attach ?target_pid ?transport ?target kernel =
   { kernel; target; panel = Panel.create (); cfg = config (); target_pid = pid;
     caches = Hashtbl.create 8 }
 
-let set_target_pid s pid =
-  s.target_pid <- pid;
-  Target.add_macro s.target "target_pid" pid
-
 (* ------------------------------------------------------------------ *)
 (* v-commands *)
 
@@ -91,43 +87,67 @@ type plot_stats = {
   trace_id : int;  (** causal trace this extraction ran under (0 when off) *)
 }
 
-(** vplot: evaluate ViewCL source, open a primary pane with the plot. *)
-let vplot s ?(title = "plot") src =
-  Target.reset_stats s.target;
+let link_down s =
+  match Target.transport s.target with
+  | Some tr -> Transport.link tr = Transport.Down
+  | None -> false
+
+(* Run a program against the target: the one extraction path of every
+   command that builds or rebuilds a pane.  With [cache] (a pane's plot
+   cache) the run is incremental.  A failed run may leave [cache]'s graph
+   mid-mutation (run_exn restores the roots but not box contents), so
+   [on_fail] runs before any exception propagates: callers holding the
+   cache drop it there. *)
+let extract ?cache ?(on_fail = ignore) s program =
   Option.iter Transport.begin_plot (Target.transport s.target);
+  match Viewcl.run ~cfg:s.cfg ?cache s.target program with
+  | res -> res
+  | exception e ->
+      on_fail ();
+      raise e
+
+(* A timed plot: reset the target's read stats, run [f] under the span
+   [name] of the ambient trace (a standalone plot, with no session op
+   around it, mints its own root trace), observe its wall time in
+   core.plot_ms and return it with its {!plot_stats}.  [f] returns
+   [None] for a plot that did not complete; nothing is observed then. *)
+let timed s ?(attrs = []) name f =
+  Target.reset_stats s.target;
   let spans0 = Obs.spans_total () in
   let rel0 = Obs.since_epoch_ms () in
-  (* thread the ambient trace through the extraction; a standalone plot
-     (no session op around it) mints its own root trace *)
   let tid =
     if Obs.Trace.current () <> 0 then Obs.Trace.current () else Obs.Trace.mint ()
   in
   let t0 = Obs.Clock.now_ms () in
-  let res =
-    Obs.Trace.with_trace tid (fun () ->
-        Obs.with_span ~cat:"core" ~attrs:[ ("title", title) ] "core.vplot" (fun () ->
-            Viewcl.run ~cfg:s.cfg s.target src))
+  Obs.Trace.with_trace tid (fun () -> Obs.with_span ~cat:"core" ~attrs name f)
+  |> Option.map (fun (res : Viewcl.result) ->
+         let wall_ms = Obs.Clock.elapsed_ms t0 in
+         if Obs.enabled () then
+           Obs.Trace.with_trace tid (fun () -> Obs.Metrics.observe "core.plot_ms" wall_ms);
+         let st = Target.stats s.target in
+         let trace =
+           if Obs.enabled () then
+             Some
+               (List.filter (fun (sp : Obs.span) -> sp.Obs.st0_ms >= rel0) (Obs.span_events ()))
+           else None
+         in
+         ( res,
+           { boxes = Vgraph.box_count res.Viewcl.graph;
+             bytes = Vgraph.total_bytes res.Viewcl.graph; reads = st.Target.reads;
+             read_bytes = st.Target.bytes; wall_ms;
+             link = Option.map Transport.snapshot (Target.transport s.target);
+             spans = Obs.spans_total () - spans0; trace; cache_hits = res.Viewcl.cache_hits;
+             cache_misses = res.Viewcl.cache_misses;
+             cache_invalidated = res.Viewcl.cache_invalidated; trace_id = tid } ))
+
+(** vplot: evaluate ViewCL source, open a primary pane with the plot. *)
+let vplot s ?(title = "plot") src =
+  let res, stats =
+    Option.get (timed s ~attrs:[ ("title", title) ] "core.vplot" (fun () -> Some (extract s src)))
   in
-  let wall_ms = Obs.Clock.elapsed_ms t0 in
-  if Obs.enabled () then
-    Obs.Trace.with_trace tid (fun () -> Obs.Metrics.observe "core.plot_ms" wall_ms);
-  let st = Target.stats s.target in
   Vgraph.set_title res.Viewcl.graph title;
   let pane = Panel.open_primary s.panel ~program:src res.Viewcl.graph in
-  let spans = Obs.spans_total () - spans0 in
-  let trace =
-    if Obs.enabled () then
-      Some (List.filter (fun (sp : Obs.span) -> sp.Obs.st0_ms >= rel0) (Obs.span_events ()))
-    else None
-  in
   Hashtbl.replace s.caches pane.Panel.pid res.Viewcl.cache;
-  let stats =
-    { boxes = Vgraph.box_count res.Viewcl.graph; bytes = Vgraph.total_bytes res.Viewcl.graph;
-      reads = st.Target.reads; read_bytes = st.Target.bytes; wall_ms;
-      link = Option.map Transport.snapshot (Target.transport s.target); spans; trace;
-      cache_hits = res.Viewcl.cache_hits; cache_misses = res.Viewcl.cache_misses;
-      cache_invalidated = res.Viewcl.cache_invalidated; trace_id = tid }
-  in
   (pane, res, stats)
 
 (** vctrl subcommands. *)
@@ -148,8 +168,7 @@ let vctrl s cmd =
   match cmd with
   | Apply { pane; viewql } -> Updated (Panel.refine s.panel ~at:pane viewql)
   | Split { pane; dir; program } ->
-      Option.iter Transport.begin_plot (Target.transport s.target);
-      let res = Viewcl.run ~cfg:s.cfg s.target program in
+      let res = extract s program in
       let p = Panel.split s.panel ~dir ~at:pane ~program res.Viewcl.graph in
       Hashtbl.replace s.caches p.Panel.pid res.Viewcl.cache;
       Opened p.Panel.pid
@@ -215,9 +234,9 @@ let vprof _s cmd =
     structures.  Suspect boxes are stamped so the next render of the
     pane shows their [SUSPECT:<law>] tags.  [None] when the pane does
     not exist. *)
-let vverify ?(mark = true) s ~pane =
+let vverify s ~pane =
   Option.map
-    (fun p -> Sanity.check_graph ~mark s.kernel.Kstate.ctx p.Panel.graph)
+    (fun p -> Sanity.check_graph s.kernel.Kstate.ctx p.Panel.graph)
     (Panel.pane_opt s.panel pane)
 
 (* ------------------------------------------------------------------ *)
@@ -245,41 +264,25 @@ let replay s programs =
    ids the pre-crash session had. *)
 
 (** Run one ViewCL program for pane recovery; [None] when the link is
-    (still) unusable, so the pane comes back [stale] instead of empty.
-    With [?cache] (a pane's plot cache) the extraction is incremental:
-    only boxes whose pages were written since the cached plot are
-    re-extracted, and the updated cache is published through
-    [on_cache]. *)
-let extract_for ?cache ?(on_cache = fun _ -> ()) ?(on_fail = fun () -> ()) s program =
-  match Target.transport s.target with
-  | Some tr when Transport.link tr = Transport.Down -> None
-  | tr_opt -> (
-      Option.iter Transport.begin_plot tr_opt;
-      match Viewcl.run ~cfg:s.cfg ?cache s.target program with
-      | res ->
-          on_cache res.Viewcl.cache;
-          Some res.Viewcl.graph
-      | exception Viewcl.Error _ ->
-          (* Expected extraction failure (bad program against this
-             state, budget, eval error).  The failed run may have left
-             [cache]'s graph mid-mutation, so the caller must stop
-             reusing it — that is what [on_fail] is for. *)
-          on_fail ();
-          None
-      | exception e ->
-          (* Unexpected failures surface to the caller rather than
-             masquerading as "pane is stale"; the cache is equally
-             unusable. *)
-          on_fail ();
-          raise e)
+    (still) unusable or the program fails with [Viewcl.Error], so the
+    pane comes back [stale] instead of empty.  With [?cache] (a pane's
+    plot cache) the extraction is incremental: only boxes whose pages
+    were written since the cached plot are re-extracted, and the updated
+    cache is published through [on_cache]. *)
+let extract_for ?cache ?(on_cache = ignore) ?on_fail s program =
+  if link_down s then None
+  else
+    match extract ?cache ?on_fail s program with
+    | res ->
+        on_cache res.Viewcl.cache;
+        Some res.Viewcl.graph
+    | exception Viewcl.Error _ -> None
 
 (** Rebuild the whole pane layout from the session journal (or an
     explicitly supplied one, e.g. loaded from disk).  Reconnects a dead
     link first.  Returns the number of panes that came back stale. *)
 let recover ?ops s =
-  (match Target.transport s.target with
-  | Some tr when Transport.link tr = Transport.Down -> Transport.reconnect tr
-  | _ -> ());
+  if link_down s then Option.iter Transport.reconnect (Target.transport s.target);
   (* Journal replay rebuilds every pane from scratch (and reassigns pane
      ids as the ops are replayed), so the per-pane caches are dead
      weight — drop them rather than risk pairing a cache with the wrong
@@ -326,80 +329,27 @@ let vrefresh s ~pane =
   match Panel.pane_opt s.panel pane with
   | None -> None
   | Some { Panel.kind = Panel.Secondary _; _ } -> None
-  | Some { Panel.kind = Panel.Primary { program }; _ } -> (
-      match Target.transport s.target with
-      | Some tr when Transport.link tr = Transport.Down ->
-          mark_stale s ~pane;
-          None
-      | tr_opt -> (
-          Target.reset_stats s.target;
-          Option.iter Transport.begin_plot tr_opt;
-          let spans0 = Obs.spans_total () in
-          let rel0 = Obs.since_epoch_ms () in
-          let tid =
-            if Obs.Trace.current () <> 0 then Obs.Trace.current ()
-            else Obs.Trace.mint ()
-          in
-          let t0 = Obs.Clock.now_ms () in
-          (* A failed run can leave the cache's shared graph mid-mutation
-             (reset boxes, partial views — run_exn restores the roots but
-             not box contents): drop the cache so the next refresh of
-             this pane re-extracts cold into a fresh graph, and flag the
-             pane stale so its render says the plot predates the failure.
-             Only the expected Viewcl failure maps to None; anything else
-             surfaces. *)
-          let drop_cache () =
-            Hashtbl.remove s.caches pane;
-            mark_stale s ~pane
-          in
-          match
-            Obs.Trace.with_trace tid (fun () ->
-                Obs.with_span ~cat:"core" "core.vrefresh" (fun () ->
-                    match
-                      Viewcl.run ~cfg:s.cfg
-                        ?cache:(Hashtbl.find_opt s.caches pane)
-                        s.target program
-                    with
-                    | res ->
-                        Hashtbl.replace s.caches pane res.Viewcl.cache;
-                        if
-                          Panel.refresh s.panel ~at:pane
-                            ~extract:(fun _ -> Some res.Viewcl.graph)
-                        then Some res
-                        else None
-                    | exception Viewcl.Error _ ->
-                        drop_cache ();
-                        None
-                    | exception e ->
-                        drop_cache ();
-                        raise e))
-          with
-          | None -> None
-          | Some res ->
-              let wall_ms = Obs.Clock.elapsed_ms t0 in
-              if Obs.enabled () then
-                Obs.Trace.with_trace tid (fun () ->
-                    Obs.Metrics.observe "core.plot_ms" wall_ms);
-              let st = Target.stats s.target in
-              let spans = Obs.spans_total () - spans0 in
-              let trace =
-                if Obs.enabled () then
-                  Some
-                    (List.filter
-                       (fun (sp : Obs.span) -> sp.Obs.st0_ms >= rel0)
-                       (Obs.span_events ()))
+  | Some { Panel.kind = Panel.Primary { program }; _ } ->
+      if link_down s then begin
+        mark_stale s ~pane;
+        None
+      end
+      else
+        (* a failed run drops the pane's cache, so the next refresh
+           re-extracts cold into a fresh graph, and flags the pane stale:
+           its render says the plot predates the failure *)
+        let drop_cache () =
+          Hashtbl.remove s.caches pane;
+          mark_stale s ~pane
+        in
+        timed s "core.vrefresh" (fun () ->
+            match extract ?cache:(Hashtbl.find_opt s.caches pane) ~on_fail:drop_cache s program with
+            | res ->
+                Hashtbl.replace s.caches pane res.Viewcl.cache;
+                if Panel.refresh s.panel ~at:pane ~extract:(fun _ -> Some res.Viewcl.graph) then
+                  Some res
                 else None
-              in
-              Some
-                ( res,
-                  { boxes = Vgraph.box_count res.Viewcl.graph;
-                    bytes = Vgraph.total_bytes res.Viewcl.graph;
-                    reads = st.Target.reads; read_bytes = st.Target.bytes; wall_ms;
-                    link = Option.map Transport.snapshot (Target.transport s.target);
-                    spans; trace; cache_hits = res.Viewcl.cache_hits;
-                    cache_misses = res.Viewcl.cache_misses;
-                    cache_invalidated = res.Viewcl.cache_invalidated;
-                    trace_id = tid } )))
+            | exception Viewcl.Error _ -> None)
 
 (** Render one pane as ASCII, with its [STALE] tag and the transport
     health line when a link is attached. *)

@@ -240,11 +240,6 @@ let set_crash ?fault t ~after =
   t.crash_after <- Some after;
   t.crash_fault <- fault
 
-let clear_crash t =
-  t.crash_after <- None;
-  t.crash_fault <- None;
-  t.is_crashed <- false
-
 let crashed t = t.is_crashed
 
 let flip_bit s i =

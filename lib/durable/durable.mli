@@ -93,7 +93,6 @@ val set_crash : ?fault:fault -> t -> after:int -> unit
     are stored, all later ones dropped.  [fault] additionally mangles
     the {!disk_image}. *)
 
-val clear_crash : t -> unit
 val crashed : t -> bool
 
 val disk_image : t -> string
@@ -121,10 +120,6 @@ val record_bytes : t -> string list
 (* ------------------------------------------------------------------ *)
 (** {1 Codec & fsck} *)
 
-val encode_record : gen:int -> kind:int -> string -> string
-(** Frame one payload (exposed for the fuzz tests). *)
-
-val crc32 : string -> int
 val flip_bit : string -> int -> string
 (** [flip_bit s i] flips bit [i mod (8 * length s)]. *)
 

@@ -3,9 +3,6 @@
 
 type addr = Kmem.addr
 
-val mkdev : int -> int -> int
-(** Pack (major, minor) into a dev_t. *)
-
 val add_disk : Kcontext.t -> Kvfs.t -> name:string -> major:int -> minor:int -> addr * addr
 (** A disk with a whole-disk block_device (and its bdev inode); returns
     (gendisk, block_device). *)

@@ -127,7 +127,6 @@ let free_pages t page order =
   coalesce (page_to_pfn t page) order
 
 let alloc_page t = alloc_pages t 0
-let free_page t page = free_pages t page 0
 
 let total_free_pages t =
   let total = ref 0 in

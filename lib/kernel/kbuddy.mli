@@ -34,9 +34,5 @@ val free_pages : t -> addr -> int -> unit
 (** Free a 2{^order} block, coalescing with free buddies. *)
 
 val alloc_page : t -> addr
-val free_page : t -> addr -> unit
-
-val nr_free : t -> int -> int
-(** Free blocks at one order ([free_area\[order\].nr_free]). *)
 
 val total_free_pages : t -> int

@@ -38,7 +38,6 @@ let free ctx a = Kmem.free ctx.mem a
 
 (* Typed field accessors: [r64 ctx a "task_struct" "se.vruntime"]. *)
 let r8 ctx a comp path = Kmem.read_u8 ctx.mem (a + off ctx comp path)
-let r16 ctx a comp path = Kmem.read_u16 ctx.mem (a + off ctx comp path)
 let r32 ctx a comp path = Kmem.read_u32 ctx.mem (a + off ctx comp path)
 let r64 ctx a comp path = Kmem.read_u64 ctx.mem (a + off ctx comp path)
 let ri32 ctx a comp path = Kmem.read_i32 ctx.mem (a + off ctx comp path)

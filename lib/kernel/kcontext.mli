@@ -39,7 +39,6 @@ val free : t -> addr -> unit
     offset from base address [a]; [w*] are the matching writers. *)
 
 val r8 : t -> addr -> string -> string -> int
-val r16 : t -> addr -> string -> string -> int
 val r32 : t -> addr -> string -> string -> int
 val r64 : t -> addr -> string -> string -> int
 val ri32 : t -> addr -> string -> string -> int

@@ -41,7 +41,6 @@ let register_impl t name impl =
   a
 
 let name_of t a = Hashtbl.find_opt t.by_addr a
-let addr_of t name = Hashtbl.find_opt t.by_name name
 let impl_of t a = Hashtbl.find_opt t.impls a
 
 let invoke t fn_addr arg =

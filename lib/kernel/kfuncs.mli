@@ -9,9 +9,6 @@
 
 type addr = Kmem.addr
 
-val text_base : addr
-(** Base of the fake text section (distinct from data addresses). *)
-
 type t
 
 val create : unit -> t
@@ -25,7 +22,6 @@ val register_impl : t -> string -> (addr -> unit) -> addr
     work_struct, ...). *)
 
 val name_of : t -> addr -> string option
-val addr_of : t -> string -> addr option
 val impl_of : t -> addr -> (addr -> unit) option
 
 val invoke : t -> addr -> addr -> unit

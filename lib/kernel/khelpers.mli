@@ -16,10 +16,3 @@
     [sighand_action]. *)
 
 val attach : Kstate.t -> Target.t
-
-val obj_addr : Target.t -> Target.value -> int
-(** GDB-style decay: an aggregate lvalue's own address; a pointer's or
-    integer's contents. *)
-
-val task_state_string : int -> int -> string
-(** Render (__state, exit_state) the way [ps] would. *)

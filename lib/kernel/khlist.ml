@@ -32,4 +32,3 @@ let containers ctx h comp field =
   let o = off ctx comp field in
   List.map (fun n -> n - o) (nodes ctx h)
 
-let length ctx h = List.length (nodes ctx h)

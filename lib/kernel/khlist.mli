@@ -3,9 +3,6 @@
 
 type addr = Kmem.addr
 
-val first : Kcontext.t -> addr -> addr
-val node_next : Kcontext.t -> addr -> addr
-
 val init_head : Kcontext.t -> addr -> unit
 
 val add_head : Kcontext.t -> addr -> addr -> unit
@@ -15,7 +12,6 @@ val del : Kcontext.t -> addr -> unit
 (** hlist_del: unlink via pprev and clear the node's links. *)
 
 val nodes : Kcontext.t -> addr -> addr list
-val length : Kcontext.t -> addr -> int
 
 val containers : Kcontext.t -> addr -> string -> string -> addr list
 (** Enclosing objects of each node, via [container_of]. *)

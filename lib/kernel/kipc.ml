@@ -98,6 +98,3 @@ let msgrcv t q =
       w64 ctx q "msg_queue" "q_cbytes" (max 0 (r64 ctx q "msg_queue" "q_cbytes" - sz));
       free ctx m;
       Some sz
-
-let messages t q =
-  Klist.containers t.ctx (fld t.ctx q "msg_queue" "q_messages") "msg_msg" "m_list"

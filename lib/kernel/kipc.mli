@@ -30,5 +30,3 @@ val msgsnd : t -> addr -> mtype:int -> size:int -> addr
 
 val msgrcv : t -> addr -> int option
 (** Dequeue FIFO; returns the message size, [None] when empty. *)
-
-val messages : t -> addr -> addr list

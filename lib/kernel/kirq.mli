@@ -11,9 +11,6 @@ type t = {
 
 val create : Kcontext.t -> Kfuncs.t -> t
 
-val desc : t -> int -> addr
-(** The descriptor of an irq number. *)
-
 val set_chip : t -> irq:int -> chip_name:string -> addr
 
 val request_irq : t -> irq:int -> name:string -> handler:string -> addr

@@ -47,5 +47,3 @@ let length ctx head = List.length (nodes ctx head)
 let containers ctx head comp field =
   let o = off ctx comp field in
   List.map (fun n -> n - o) (nodes ctx head)
-
-let iter ctx head f = List.iter f (nodes ctx head)

@@ -5,7 +5,6 @@
 type addr = Kmem.addr
 
 val next : Kcontext.t -> addr -> addr
-val prev : Kcontext.t -> addr -> addr
 
 val init : Kcontext.t -> addr -> unit
 (** INIT_LIST_HEAD: a head pointing at itself. *)
@@ -29,5 +28,3 @@ val length : Kcontext.t -> addr -> int
 val containers : Kcontext.t -> addr -> string -> string -> addr list
 (** [containers ctx head comp field] — the enclosing objects:
     [container_of(node, comp, field)] for each node. *)
-
-val iter : Kcontext.t -> addr -> (addr -> unit) -> unit

@@ -63,8 +63,6 @@ let leaf_pivot ctx n i = Kmem.read_u64 ctx.mem (fld ctx n "maple_node" "mr64" + 
 let leaf_slot ctx n i = Kmem.read_u64 ctx.mem (fld ctx n "maple_node" "mr64" + off ctx "maple_range_64" "slot" + (8 * i))
 let ar_pivot ctx n i = Kmem.read_u64 ctx.mem (fld ctx n "maple_node" "ma64" + off ctx "maple_arange_64" "pivot" + (8 * i))
 let ar_slot ctx n i = Kmem.read_u64 ctx.mem (fld ctx n "maple_node" "ma64" + off ctx "maple_arange_64" "slot" + (8 * i))
-let ar_gap ctx n i = Kmem.read_u64 ctx.mem (fld ctx n "maple_node" "ma64" + off ctx "maple_arange_64" "gap" + (8 * i))
-let ar_meta_end ctx n = Kmem.read_u8 ctx.mem (fld ctx n "maple_node" "ma64" + off ctx "maple_arange_64" "meta" + off ctx "maple_metadata" "end")
 
 let set_leaf_pivot ctx n i v = Kmem.write_u64 ctx.mem (fld ctx n "maple_node" "mr64" + off ctx "maple_range_64" "pivot" + (8 * i)) v
 let set_leaf_slot ctx n i v = Kmem.write_u64 ctx.mem (fld ctx n "maple_node" "mr64" + off ctx "maple_range_64" "slot" + (8 * i)) v
@@ -315,7 +313,8 @@ let read_nodes ctx mt =
    pointer tag validity (known node type, internal slots hold node
    pointers).  Non-raising and cycle-safe — a freed-and-reused node can
    point anywhere, which is exactly when this check matters. *)
-let check ?(max_nodes = 65536) ctx mt =
+let check ctx mt =
+  let max_nodes = 65536 in
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
   let root = r64 ctx mt "maple_tree" "ma_root" in

@@ -19,15 +19,10 @@ type addr = Kmem.addr
 
 (** {1 Node encoding (as maple_tree.h)} *)
 
-val maple_leaf_64 : int
-val maple_range_64 : int
 val maple_arange_64 : int
 
 val mt_max : int
 (** Upper bound of the index space (2{^56} - 1 in this simulation). *)
-
-val mk_enc : addr -> int -> int
-(** [mk_enc node typ] tags a 256-aligned node address with its type. *)
 
 val is_node : int -> bool
 (** Kernel [xa_is_node]: is this root/slot value an internal node pointer
@@ -82,19 +77,14 @@ val read_nodes : Kcontext.t -> addr -> addr list
 val read_height : Kcontext.t -> addr -> int
 (** Node levels (0 for empty, 1 for a direct-entry root). *)
 
-val check : ?max_nodes:int -> Kcontext.t -> addr -> (int, string) result
+val check : Kcontext.t -> addr -> (int, string) result
 (** Structural sanity of the real in-memory tree, for the sanitizer
     (Sanity): pivot monotonicity (every slot range non-empty and inside
     its parent's bound) and encoded-pointer tag validity (known node
     types, internal slots hold node pointers).  [Ok node_count], or
     [Error reason] naming the first violation.  Cycle-safe and bounded
-    by [max_nodes] (default 65536). *)
+    by 65536 nodes. *)
 
 (** {1 Low-level node access (used by tests and helpers)} *)
 
 val leaf_pivot : Kcontext.t -> addr -> int -> int
-val leaf_slot : Kcontext.t -> addr -> int -> int
-val ar_pivot : Kcontext.t -> addr -> int -> int
-val ar_slot : Kcontext.t -> addr -> int -> int
-val ar_gap : Kcontext.t -> addr -> int -> int
-val ar_meta_end : Kcontext.t -> addr -> int

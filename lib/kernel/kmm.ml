@@ -45,32 +45,31 @@ let vma_alloc t mm ~start ~end_ ~flags ~file ~pgoff =
   vma
 
 (** Insert a VMA into the address space: stores it in the maple tree over
-    its page range. [free_node] receives retired maple nodes (hook RCU
-    deferral here for the StackRot scenario). *)
-let insert_vma ?free_node t mm vma =
+    its page range. *)
+let insert_vma t mm vma =
   let ctx = t.ctx in
   let tree = tree_of t mm in
   let start = r64 ctx vma "vm_area_struct" "vm_start" in
   let end_ = r64 ctx vma "vm_area_struct" "vm_end" in
-  Kmaple.store_range ?free:free_node tree ~lo:start ~hi:(end_ - 1) vma;
+  Kmaple.store_range tree ~lo:start ~hi:(end_ - 1) vma;
   w32 ctx mm "mm_struct" "map_count" (List.length (Kmaple.entries tree));
   let tv = r64 ctx mm "mm_struct" "total_vm" in
   w64 ctx mm "mm_struct" "total_vm" (tv + ((end_ - start) / Ktypes.page_size))
 
 (** mmap: allocate and insert. Returns the VMA. *)
-let mmap ?free_node t mm ~start ~len ~flags ~file ~pgoff =
+let mmap t mm ~start ~len ~flags ~file ~pgoff =
   let end_ = start + len in
   let vma = vma_alloc t mm ~start ~end_ ~flags ~file ~pgoff in
-  insert_vma ?free_node t mm vma;
+  insert_vma t mm vma;
   vma
 
 (** munmap the whole range of [vma]; the VMA object is freed. *)
-let munmap ?free_node t mm vma =
+let munmap t mm vma =
   let ctx = t.ctx in
   let tree = tree_of t mm in
   let start = r64 ctx vma "vm_area_struct" "vm_start" in
   let end_ = r64 ctx vma "vm_area_struct" "vm_end" in
-  Kmaple.erase_range ?free:free_node tree ~lo:start ~hi:(end_ - 1);
+  Kmaple.erase_range tree ~lo:start ~hi:(end_ - 1);
   w32 ctx mm "mm_struct" "map_count" (List.length (Kmaple.entries tree));
   free ctx vma
 
@@ -83,8 +82,6 @@ let read_vmas t mm =
   |> List.map (fun (_, _, v) -> v)
 
 let find_vma t mm va = Kmaple.walk t.ctx (fld t.ctx mm "mm_struct" "mm_mt") va
-
-let is_writable ctx vma = r64 ctx vma "vm_area_struct" "vm_flags" land Ktypes.vm_write <> 0
 
 (** Handle an anonymous page fault at [va]: allocate a page frame, mark
     it mapped (refcount/_mapcount, page->mapping pointing at the VMA's

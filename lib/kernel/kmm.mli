@@ -20,17 +20,10 @@ val vma_alloc :
   t -> addr -> start:int -> end_:int -> flags:int -> file:addr -> pgoff:int -> addr
 (** Allocate (but not insert) a VMA covering [start, end_). *)
 
-val insert_vma : ?free_node:(addr -> unit) -> t -> addr -> addr -> unit
-(** Store a VMA into the address space over its page range. [free_node]
-    receives retired maple nodes — hook {!Kstate.ma_free_rcu} here to
-    reproduce StackRot. *)
-
-val mmap :
-  ?free_node:(addr -> unit) ->
-  t -> addr -> start:int -> len:int -> flags:int -> file:addr -> pgoff:int -> addr
+val mmap : t -> addr -> start:int -> len:int -> flags:int -> file:addr -> pgoff:int -> addr
 (** Allocate + insert; returns the VMA. *)
 
-val munmap : ?free_node:(addr -> unit) -> t -> addr -> addr -> unit
+val munmap : t -> addr -> addr -> unit
 (** Remove a VMA's whole range and free the VMA object. *)
 
 val vmas : t -> addr -> addr list
@@ -42,12 +35,7 @@ val read_vmas : t -> addr -> addr list
 val find_vma : t -> addr -> int -> addr
 (** mas_walk: the VMA containing a virtual address, or 0. *)
 
-val is_writable : Kcontext.t -> addr -> bool
-
 (** {1 Faults and the reverse map} *)
-
-val page_mapping_anon : int
-(** The kernel's PAGE_MAPPING_ANON low bit of [page->mapping]. *)
 
 val handle_anon_fault : t -> Kbuddy.t -> addr -> va:int -> addr
 (** Anonymous page fault at [va]: allocates a frame, tags

@@ -3,18 +3,12 @@
 
 type addr = Kmem.addr
 
-val af_inet : int
-val sock_stream : int
-val tcp_established : int
-
 val socket :
   Kcontext.t -> Kvfs.t -> Kfuncs.t ->
   laddr:int -> lport:int -> raddr:int -> rport:int -> addr * addr * addr
 (** A connected stream socket: (socket, sock, file). The file's
     [private_data] points at the socket, its [f_op] at
     [socket_file_ops]. *)
-
-val skb_queue_init : Kcontext.t -> addr -> unit
 
 val skb_queue_tail : Kcontext.t -> addr -> len:int -> addr
 (** Append an sk_buff with [len] payload bytes; maintains qlen and the

@@ -18,15 +18,6 @@ let new_kset ctx ~name ~parent =
   kobject_init ctx (fld ctx ks "kset" "kobj") ~name ~parent ~kset:0;
   ks
 
-let new_kobject ctx ~name ~parent ~kset =
-  let ko = alloc ctx "kobject" in
-  kobject_init ctx ko ~name ~parent ~kset;
-  if kset <> 0 then begin
-    Klist.del ctx (fld ctx ko "kobject" "entry");
-    Klist.add_tail ctx (fld ctx kset "kset" "list") (fld ctx ko "kobject" "entry")
-  end;
-  ko
-
 let new_bus ctx ~name =
   let bus = alloc ctx "bus_type" in
   w64 ctx bus "bus_type" "name" (cstring ctx name);

@@ -3,11 +3,7 @@
 
 type addr = Kmem.addr
 
-val kobject_init : Kcontext.t -> addr -> name:string -> parent:addr -> kset:addr -> unit
-
 val new_kset : Kcontext.t -> name:string -> parent:addr -> addr
-val new_kobject : Kcontext.t -> name:string -> parent:addr -> kset:addr -> addr
-(** Registered on the kset's member list when [kset] is non-zero. *)
 
 val new_bus : Kcontext.t -> name:string -> addr
 val new_driver : Kcontext.t -> Kfuncs.t -> name:string -> bus:addr -> addr

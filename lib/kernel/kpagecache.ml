@@ -35,7 +35,3 @@ let lookup ctx mapping index =
 
 let pages ctx mapping =
   List.map snd (Kxarray.entries ctx (fld ctx mapping "address_space" "i_pages"))
-
-let mark_dirty ctx page =
-  let f = r64 ctx page "page" "flags" in
-  w64 ctx page "page" "flags" (f lor (1 lsl Ktypes.pg_dirty))

@@ -4,11 +4,6 @@
 
 type addr = Kmem.addr
 
-val find_or_create_page :
-  Kcontext.t -> Kbuddy.t -> addr -> int -> ?data:string -> unit -> addr
-(** Get-or-create the cache page of [mapping] at an index, filling its
-    payload with [data] when given; bumps [nrpages] on creation. *)
-
 val populate : Kcontext.t -> Kbuddy.t -> addr -> npages:int -> fill:(int -> string) -> addr list
 (** Readahead-style population of the first [npages] pages. *)
 
@@ -17,5 +12,3 @@ val lookup : Kcontext.t -> addr -> int -> addr
 
 val pages : Kcontext.t -> addr -> addr list
 (** All cached pages of a mapping, in index order. *)
-
-val mark_dirty : Kcontext.t -> addr -> unit

@@ -50,8 +50,3 @@ let find_pid t nr =
   let upids = Khlist.containers ctx (bucket t (pid_hashfn nr)) "upid" "pid_chain" in
   List.find_opt (fun u -> r32 ctx u "upid" "nr" = nr) upids
   |> Option.map (fun u -> u - off ctx "pid" "numbers")
-
-let bucket_pids t i =
-  List.map
-    (fun u -> u - off t.ctx "pid" "numbers")
-    (Khlist.containers t.ctx (bucket t i) "upid" "pid_chain")

@@ -11,9 +11,6 @@ type t = {
 
 val hash_sz : int
 
-val pid_hashfn : int -> int
-(** The bucket of a pid number (golden-ratio hash). *)
-
 val create : Kcontext.t -> t
 
 val alloc_pid : t -> int -> addr
@@ -22,9 +19,3 @@ val alloc_pid : t -> int -> addr
 
 val find_pid : t -> int -> addr option
 (** Resolve a number through the hash table (the read path). *)
-
-val bucket : t -> int -> addr
-(** Address of hash bucket [i]. *)
-
-val bucket_pids : t -> int -> addr list
-(** The [struct pid]s chained in bucket [i]. *)

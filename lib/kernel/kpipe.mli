@@ -13,9 +13,6 @@ val create : Kcontext.t -> Kvfs.t -> Kfuncs.t -> addr * addr * addr
 (** A pipe: (pipe_inode_info, read file, write file) — an anonymous inode
     carrying [i_pipe], opened twice with [pipefifo_fops]. *)
 
-val buf_addr : Kcontext.t -> addr -> int -> addr
-(** The ring slot of logical index [i] ([i mod ring_size]). *)
-
 val write : Kcontext.t -> Kbuddy.t -> Kfuncs.t -> addr -> string -> addr
 (** pipe_write: fresh page + CAN_MERGE flags (as anon pipe pages have);
     returns the buffer. *)

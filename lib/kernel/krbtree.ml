@@ -29,8 +29,6 @@ let set_color ctx n c = set_pc ctx n (parent ctx n) c
 let root_node ctx root = r64 ctx root "rb_root" "rb_node"
 let set_root_node ctx root n = w64 ctx root "rb_root" "rb_node" n
 
-let is_empty ctx root = root_node ctx root = 0
-
 (* Replace the child link of [p] that pointed to [old] with [n]; if p = 0,
    [old] was the root. *)
 let change_child ctx root p old n =
@@ -129,10 +127,8 @@ let insert ctx root ~less node =
   leftmost
 
 let rec leftmost_of ctx n = if n = 0 || left ctx n = 0 then n else leftmost_of ctx (left ctx n)
-let rec rightmost_of ctx n = if n = 0 || right ctx n = 0 then n else rightmost_of ctx (right ctx n)
 
 let first ctx root = leftmost_of ctx (root_node ctx root)
-let last ctx root = rightmost_of ctx (root_node ctx root)
 
 let next ctx n =
   if right ctx n <> 0 then leftmost_of ctx (right ctx n)
@@ -300,7 +296,8 @@ let validate ctx root =
    tree under inspection may be arbitrarily corrupted (a child pointer
    looping back up, poison bytes as colors), so the walk carries a
    visited set and a node budget and reports instead of diverging. *)
-let check ?(max_nodes = 65536) ctx root =
+let check ctx root =
+  let max_nodes = 65536 in
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
   let seen = Hashtbl.create 64 in

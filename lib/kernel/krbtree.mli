@@ -9,19 +9,11 @@
 
 type addr = Kmem.addr
 
-val red : int
-val black : int
-
 (** {1 Raw node access} *)
 
-val parent : Kcontext.t -> addr -> addr
-val color : Kcontext.t -> addr -> int
 val left : Kcontext.t -> addr -> addr
-val right : Kcontext.t -> addr -> addr
 val root_node : Kcontext.t -> addr -> addr
 (** The [rb_node] pointer of an [rb_root] struct. *)
-
-val is_empty : Kcontext.t -> addr -> bool
 
 (** {1 Operations on [rb_root]} *)
 
@@ -34,13 +26,6 @@ val erase : Kcontext.t -> addr -> addr -> unit
 
 val first : Kcontext.t -> addr -> addr
 (** Leftmost node (0 when empty). *)
-
-val last : Kcontext.t -> addr -> addr
-val next : Kcontext.t -> addr -> addr
-(** In-order successor (0 at the end). *)
-
-val nodes : Kcontext.t -> addr -> addr list
-(** All nodes in increasing order. *)
 
 val containers : Kcontext.t -> addr -> string -> string -> addr list
 (** [containers ctx root comp field] — enclosing objects of each node,
@@ -62,8 +47,8 @@ val validate : Kcontext.t -> addr -> int
     parent-pointer consistency, black root); returns the black height.
     @raise Failure on violation. Used by the property tests. *)
 
-val check : ?max_nodes:int -> Kcontext.t -> addr -> (int, string) result
+val check : Kcontext.t -> addr -> (int, string) result
 (** Non-raising, cycle-safe {!validate} for the structural sanitizer
     (Sanity): [Ok black_height], or [Error reason] naming the first
     violated law.  Safe on arbitrarily corrupted trees — a visited set
-    catches cycles and [max_nodes] (default 65536) bounds the walk. *)
+    catches cycles and a 65536-node budget bounds the walk. *)

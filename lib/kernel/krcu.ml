@@ -74,5 +74,3 @@ let run_grace_period t =
       w64 ctx rd "rcu_data" "gp_seq" t.gp_seq;
       drain head)
     t.rcu_data
-
-let synchronize = run_grace_period

@@ -31,6 +31,3 @@ val pending : t -> ?cpu:int -> unit -> addr list
 val run_grace_period : t -> unit
 (** Advance one grace period: every queued callback runs (rcu_do_batch),
     on every CPU, in queue order. *)
-
-val synchronize : t -> unit
-(** Alias of {!run_grace_period} (synchronize_rcu semantics here). *)

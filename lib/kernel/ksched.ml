@@ -48,11 +48,6 @@ let dequeue_task ctx rq task =
   w32 ctx rq "rq" "cfs.h_nr_running" (r32 ctx rq "rq" "cfs.h_nr_running" - 1);
   w32 ctx rq "rq" "nr_running" (r32 ctx rq "rq" "nr_running" - 1)
 
-(** Leftmost entity = next task to run. *)
-let pick_next ctx rq =
-  let lm = r64 ctx rq "rq" "cfs.tasks_timeline.rb_leftmost" in
-  if lm = 0 then 0 else task_of ctx (lm - off ctx "sched_entity" "run_node")
-
 (** Make [task] the running task on [rq] (dequeues it, as CFS does). *)
 let set_curr ctx rq task =
   w64 ctx rq "rq" "curr" task;
@@ -98,16 +93,6 @@ let task_tick ctx rq ~delta =
       else curr
     end
   end
-
-(** Migrate a queued task to another runqueue (as load balancing or
-    sched_setaffinity would): dequeue, retag the task's cpu, enqueue on
-    the destination preserving its virtual runtime. *)
-let migrate_task ctx ~src ~dst task =
-  let se = se_of ctx task in
-  let v = r64 ctx se "sched_entity" "vruntime" in
-  if r32 ctx se "sched_entity" "on_rq" <> 0 then dequeue_task ctx src task;
-  w32 ctx task "task_struct" "cpu" (r32 ctx dst "rq" "cpu");
-  enqueue_task ctx dst task ~vruntime:v
 
 (** Tasks on the timeline in vruntime order. *)
 let queued_tasks ctx rq =

@@ -7,30 +7,15 @@ type addr = Kmem.addr
 
 val init_rq : Kcontext.t -> addr -> cpu:int -> idle:addr -> unit
 
-val se_of : Kcontext.t -> addr -> addr
-(** A task's embedded sched_entity. *)
-
-val task_of : Kcontext.t -> addr -> addr
-(** container_of(se, task_struct, se). *)
-
 val enqueue_task : Kcontext.t -> addr -> addr -> vruntime:int -> unit
 (** Place a task on the timeline and update nr_running/min_vruntime. *)
 
 val dequeue_task : Kcontext.t -> addr -> addr -> unit
 
-val pick_next : Kcontext.t -> addr -> addr
-(** The leftmost (smallest-vruntime) task, 0 when idle. *)
-
-val set_curr : Kcontext.t -> addr -> addr -> unit
-(** Make a task the running one ([rq->curr], [cfs->curr], [on_cpu]). *)
-
 val task_tick : Kcontext.t -> addr -> delta:int -> addr
 (** One scheduler tick: charge the running task [delta] ns of vruntime
     and preempt when it is no longer leftmost (re-enqueueing it and
     switching to the new leftmost). Returns the task now running. *)
-
-val migrate_task : Kcontext.t -> src:addr -> dst:addr -> addr -> unit
-(** Move a queued task to another runqueue, preserving its vruntime. *)
 
 val queued_tasks : Kcontext.t -> addr -> addr list
 (** Timeline contents in vruntime order. *)

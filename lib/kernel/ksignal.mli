@@ -3,9 +3,6 @@
 
 type addr = Kmem.addr
 
-val sig_dfl : int
-val sig_ign : int
-
 val new_sighand : Kcontext.t -> Kfuncs.t -> addr
 (** A sighand_struct with all 64 actions at SIG_DFL. *)
 

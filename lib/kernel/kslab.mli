@@ -30,7 +30,3 @@ val caches : t -> addr list
 
 val slab_inuse : Kcontext.t -> addr -> int
 (** The [inuse] bitfield of a slab (shares a u32 with objects/frozen). *)
-
-val slab_objcount : Kcontext.t -> addr -> int
-val slab_objects : t -> addr -> int
-(** Objects per slab page for a cache. *)

@@ -9,9 +9,6 @@ type t = {
   mutable nr : int;
 }
 
-val swp_used : int
-val swp_writeok : int
-
 val create : Kcontext.t -> t
 
 val swapon : t -> file:addr -> bdev:addr -> pages:int -> prio:int -> used:int -> addr

@@ -202,18 +202,6 @@ let exit_task (k : Kstate.t) task ~code =
       (fld ctx parent "task_struct" "pending")
       ~signo:17 (* SIGCHLD *) ~from_pid:(Ktask.pid ctx task)
 
-(** wait(2)/release_task: reap a zombie — unlink it from the process tree
-    and the global task list and free the task_struct. *)
-let reap_task (k : Kstate.t) task =
-  let ctx = k.ctx in
-  if r32 ctx task "task_struct" "exit_state" land Ktypes.exit_zombie = 0 then
-    invalid_arg "Ksyscall.reap_task: not a zombie";
-  Klist.del ctx (fld ctx task "task_struct" "sibling");
-  Klist.del ctx (fld ctx task "task_struct" "tasks");
-  (let tg = fld ctx task "task_struct" "thread_group" in
-   if Klist.next ctx tg <> 0 && not (Klist.is_empty ctx tg) then Klist.del ctx tg);
-  free ctx task
-
 let kill (k : Kstate.t) ~target ~signo ~from =
   Ksignal.send_signal k.ctx
     (fld k.ctx target "task_struct" "pending")

@@ -9,10 +9,7 @@ type addr = Kmem.addr
 
 (** {1 Address-space layout constants (process image)} *)
 
-val code_base : int
-val data_base : int
 val heap_base : int
-val lib_base : int
 val stack_top : int
 
 (** {1 Processes and threads} *)
@@ -31,9 +28,6 @@ val spawn_kthread : Kstate.t -> comm:string -> cpu:int -> addr
 
 val files_of : Kstate.t -> addr -> addr
 val mm_of : Kstate.t -> addr -> addr
-
-val binary_file : Kstate.t -> string -> addr
-(** Get-or-create a shared binary in the rootfs (with cached pages). *)
 
 (** {1 Files and memory} *)
 
@@ -71,11 +65,6 @@ val exit_task : Kstate.t -> addr -> code:int -> unit
 (** exit(2): dequeue from the runqueue, turn the task into a zombie
     (EXIT_ZOMBIE, visible to [task_state]), reparent its children to
     init, and queue SIGCHLD to the parent. *)
-
-val reap_task : Kstate.t -> addr -> unit
-(** wait(2)/release_task: unlink a zombie from the process tree and the
-    global task list and free its task_struct.
-    @raise Invalid_argument if the task is not a zombie. *)
 
 (** {1 Signals} *)
 

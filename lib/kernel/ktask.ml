@@ -75,7 +75,6 @@ let create ctx ~tasks_head spec =
 
 let pid ctx task = ri32 ctx task "task_struct" "pid"
 let comm ctx task = rstr ctx task "task_struct" "comm"
-let set_state ctx task st = w32 ctx task "task_struct" "__state" st
 
 (** Children in creation order. *)
 let children ctx task =

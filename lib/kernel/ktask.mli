@@ -29,12 +29,8 @@ val create : Kcontext.t -> tasks_head:addr -> spec -> addr
 (** Allocate and link a task_struct. [tasks_head] is the global task-list
     anchor (pass 0 for boot-time tasks kept off the list). *)
 
-val init_lists : Kcontext.t -> addr -> unit
-(** Initialize the embedded list heads of a raw task_struct. *)
-
 val pid : Kcontext.t -> addr -> int
 val comm : Kcontext.t -> addr -> string
-val set_state : Kcontext.t -> addr -> int -> unit
 
 val children : Kcontext.t -> addr -> addr list
 (** Direct children, in creation order. *)

@@ -46,8 +46,6 @@ let pending t ~cpu =
     (List.init wheel_size (fun i ->
          Khlist.containers t.ctx (bucket t ~cpu i) "timer_list" "entry"))
 
-let advance t n = t.jiffies <- t.jiffies + n
-
 (** Advance time by [n] jiffies and fire every expired timer on every
     CPU, in expiry order: each timer is unlinked from its wheel bucket
     and its function invoked (with the timer address, as the kernel does

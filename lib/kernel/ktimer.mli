@@ -10,8 +10,6 @@ type t = {
   mutable jiffies : int;
 }
 
-val wheel_size : int
-
 val create : Kcontext.t -> Kfuncs.t -> ncpus:int -> t
 
 val add_timer : t -> cpu:int -> delta:int -> string -> addr
@@ -20,12 +18,6 @@ val add_timer : t -> cpu:int -> delta:int -> string -> addr
 
 val pending : t -> cpu:int -> addr list
 (** Armed timers of a CPU's wheel. *)
-
-val bucket : t -> cpu:int -> int -> addr
-(** Address of wheel bucket [i]. *)
-
-val advance : t -> int -> unit
-(** Advance jiffies without firing anything. *)
 
 val run_timers : t -> int -> addr list
 (** Advance by [n] jiffies and fire every expired timer on every CPU in

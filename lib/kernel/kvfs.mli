@@ -36,9 +36,6 @@ val open_dentry : t -> addr -> flags:int -> addr
 
 (** {1 Path walking} *)
 
-val dentry_children : t -> addr -> addr list
-val dentry_name : t -> addr -> string
-
 val lookup_path : t -> root:addr -> string -> addr option
 (** Resolve ["/a/b/c"] from [root], component by component. *)
 

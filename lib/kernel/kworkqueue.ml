@@ -63,22 +63,6 @@ let queue_work t ~cpu work =
 let pending t ~cpu =
   Klist.containers t.ctx (fld t.ctx t.pools.(cpu) "worker_pool" "worklist") "work_struct" "entry"
 
-(** Drain [cpu]'s pool as a worker would: unlink each work item and
-    invoke its function (with the work_struct address) when an
-    implementation is registered. Returns the processed work items. *)
-let process_works t ~cpu =
-  let ctx = t.ctx in
-  let works = pending t ~cpu in
-  List.iter
-    (fun w ->
-      Klist.del ctx (fld ctx w "work_struct" "entry");
-      let fn = r64 ctx w "work_struct" "func" in
-      match Kfuncs.impl_of t.funcs fn with
-      | Some impl -> impl w
-      | None -> ())
-    works;
-  works
-
 (** Convenience constructors for the three heterogeneous work containers
     used by the mm_percpu_wq demo. *)
 let new_vmstat_work t ~cpu ~interval =

@@ -17,18 +17,11 @@ val create : Kcontext.t -> Kfuncs.t -> ncpus:int -> t
 val alloc_workqueue : t -> string -> addr
 (** alloc_workqueue: one pool_workqueue per CPU. *)
 
-val init_work : t -> addr -> string -> unit
-(** INIT_WORK with a named handler. *)
-
 val queue_work : t -> cpu:int -> addr -> unit
 (** Append a work_struct to a CPU pool's worklist. *)
 
 val pending : t -> cpu:int -> addr list
 (** Pending work_structs of a pool, in order. *)
-
-val process_works : t -> cpu:int -> addr list
-(** Drain a pool as a worker would, invoking registered implementations;
-    returns the processed items. *)
 
 (** {1 The heterogeneous mm_percpu_wq containers (paper Fig 6)} *)
 

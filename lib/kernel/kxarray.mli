@@ -7,9 +7,6 @@
 
 type addr = Kmem.addr
 
-val chunk_shift : int
-val chunk_size : int  (** 64 slots per node *)
-
 (** {1 Entry tagging (xarray.h)} *)
 
 val is_node : int -> bool
@@ -35,8 +32,3 @@ val entries : Kcontext.t -> addr -> (int * int) list
 val count : Kcontext.t -> addr -> int
 
 (** {1 Node access (for visualization and tests)} *)
-
-val node_shift : Kcontext.t -> addr -> int
-val node_count : Kcontext.t -> addr -> int
-val slot : Kcontext.t -> addr -> int -> int
-val head : Kcontext.t -> addr -> int

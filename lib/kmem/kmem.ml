@@ -1,7 +1,6 @@
 type addr = int
 
 let kernel_base = 0x4000_0000_0000
-let null = 0
 
 type fault =
   | Use_after_free of { obj : addr; tag : string; at : addr }

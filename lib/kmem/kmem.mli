@@ -18,9 +18,6 @@ type addr = int
 val kernel_base : addr
 (** Base of the simulated kernel address space ([0x4000_0000_0000]). *)
 
-val null : addr
-(** The NULL pointer (0). *)
-
 type t
 (** A memory instance: byte store + allocator + event log. *)
 

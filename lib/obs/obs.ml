@@ -126,14 +126,13 @@ let spans_total () = !spans_seen
    which must never key a table), and each base name is capped at
    [max_breakdown] distinct keys — the overflow bucket keeps the totals
    honest without unbounded growth. *)
-let breakdown_keys = ref [ "profile"; "target"; "replica"; "sid" ]
-let set_breakdown_keys ks = breakdown_keys := ks
+let breakdown_keys = [ "profile"; "target"; "replica"; "sid" ]
 let agg_attr_tbl : (string, agg) Hashtbl.t = Hashtbl.create 64
 let agg_attr_card : (string, int) Hashtbl.t = Hashtbl.create 16
 let max_breakdown = 64
 
 let breakdown_key name attrs =
-  match List.filter (fun (k, _) -> List.mem k !breakdown_keys) attrs with
+  match List.filter (fun (k, _) -> List.mem k breakdown_keys) attrs with
   | [] -> None
   | kvs ->
       let kvs = List.sort (fun (a, _) (b, _) -> compare a b) kvs in
@@ -547,9 +546,6 @@ module Slo = struct
     Hashtbl.iter
       (fun name r -> Hashtbl.replace regs name (fresh r.obj))
       (Hashtbl.copy regs)
-
-  let objectives () = List.filter_map (fun n -> Hashtbl.find_opt regs n) !order
-                      |> List.map (fun r -> r.obj)
 
   let burn obj ~bad ~total =
     if total <= 0. then 0. else bad /. total /. Float.max 1e-9 (1. -. obj.otarget)

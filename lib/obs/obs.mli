@@ -178,8 +178,6 @@ module Metrics : sig
   }
 
   val summary : string -> summary option
-  val histograms : unit -> (string * summary) list
-  (** All non-empty histograms, sorted by name. *)
 
   val quantile : string -> float -> float option
   (** [quantile name q] estimates the [q]-quantile ([0 <= q <= 1]) as
@@ -241,11 +239,6 @@ module Profile : sig
       overflow lands in ["name{...}"]). *)
 end
 
-val set_breakdown_keys : string list -> unit
-(** The attr keys folded into {!Profile.breakdown} aggregate keys
-    (default [["profile"; "target"; "replica"; "sid"]]). Never include
-    a high-cardinality attr (byte counts, addresses). *)
-
 (** {1 SLO engine} *)
 
 (** Declarative service-level objectives evaluated over the metrics
@@ -274,7 +267,6 @@ module Slo : sig
       accumulated windows; a changed objective restarts them. *)
 
   val clear : unit -> unit
-  val objectives : unit -> objective list
 
   val tick : unit -> unit
   (** Close one evaluation epoch: per objective, take the (bad, total)
@@ -313,9 +305,6 @@ val chrome_trace : unit -> string
     events ([ph:"s"]/[ph:"f"] pairs named by link kind), so hedge /
     canary / retry / probation arrows render; links whose endpoint
     spans were evicted from the ring are skipped. *)
-
-val profile_table : unit -> string
-(** Flat ASCII profile: count / total ms / self ms per span name. *)
 
 val metrics_json : ?extra:(string * string) list -> unit -> string
 (** The whole registry as JSON: [meta] (the [extra] pairs), [counters],

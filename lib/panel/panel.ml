@@ -49,18 +49,17 @@ type t = {
   mutable next_id : int;
   mutable journal_rev : op list;  (** newest first; checkpointed per op *)
   mutable jlen : int;  (** length of [journal_rev] *)
-  mutable compact_base : int option;  (** auto-compact threshold; [None] = off *)
   mutable compact_next : int;  (** next length that triggers a compaction *)
   mutable op_hook : (op -> unit) option;
       (** fired once per checkpointed op — the session layer's WAL tap *)
 }
 
-let default_compact_threshold = 512
+(* A journal longer than this compacts itself on the next checkpoint. *)
+let journal_limit = 512
 
 let create () =
   { panes = Hashtbl.create 8; layout = None; next_id = 1; journal_rev = [];
-    jlen = 0; compact_base = Some default_compact_threshold;
-    compact_next = default_compact_threshold; op_hook = None }
+    jlen = 0; compact_next = journal_limit; op_hook = None }
 
 let pane t id =
   match Hashtbl.find_opt t.panes id with
@@ -194,30 +193,25 @@ let compact_journal ops =
     sims;
   List.rev !out
 
-(* The op journal doubles as an observability event stream: every
-   checkpointed op shows up as an instant in the trace. *)
-let set_journal_limit t limit =
-  t.compact_base <- limit;
-  t.compact_next <- (match limit with Some n -> max 1 n | None -> max_int)
-
 let set_op_hook t h = t.op_hook <- h
 
+(* The op journal doubles as an observability event stream: every
+   checkpointed op shows up as an instant in the trace. *)
 let checkpoint t op =
   if Obs.enabled () then
     Obs.instant ~cat:"panel" ~attrs:[ ("op", op_label op) ] "panel.op";
   t.journal_rev <- op :: t.journal_rev;
   t.jlen <- t.jlen + 1;
   (match t.op_hook with Some h -> h op | None -> ());
-  match t.compact_base with
-  | Some base when t.jlen > t.compact_next ->
-      let compacted = compact_journal (List.rev t.journal_rev) in
-      t.journal_rev <- List.rev compacted;
-      t.jlen <- List.length compacted;
-      (* churn-free journals (nothing closed) compact to themselves:
-         double the trigger so a stubborn journal costs O(log) passes,
-         not one pass per op *)
-      t.compact_next <- max base (2 * t.jlen)
-  | _ -> ()
+  if t.jlen > t.compact_next then begin
+    let compacted = compact_journal (List.rev t.journal_rev) in
+    t.journal_rev <- List.rev compacted;
+    t.jlen <- List.length compacted;
+    (* churn-free journals (nothing closed) compact to themselves:
+       double the trigger so a stubborn journal costs O(log) passes,
+       not one pass per op *)
+    t.compact_next <- max journal_limit (2 * t.jlen)
+  end
 
 let fresh ?(stale = false) t kind graph =
   let id = t.next_id in
@@ -355,7 +349,7 @@ let op_of_json o =
   | _ -> None
 
 let journal_of_json json =
-  match Json.member "journal" (Json.parse json) with
+  match Json.member "journal" json with
   | Some (Json.List ops) -> List.filter_map op_of_json ops
   | _ -> []
 

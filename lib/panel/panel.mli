@@ -99,12 +99,6 @@ val compact_journal : op list -> op list
     yields the same panel — same surviving pane ids, same layout — as
     replaying the original. *)
 
-val set_journal_limit : t -> int option -> unit
-(** Auto-compaction threshold: once the journal exceeds the limit, each
-    checkpoint compacts it in place (doubling the trigger when
-    compaction cannot shrink churn-free journals). [None] disables
-    auto-compaction; the default is 512. *)
-
 val set_op_hook : t -> (op -> unit) option -> unit
 (** Tap every checkpointed op, {e before} any in-place auto-compaction
     rewrites the journal — the session layer mirrors the stream into
@@ -112,7 +106,11 @@ val set_op_hook : t -> (op -> unit) option -> unit
     hook, so recovered ops are never re-journaled. *)
 
 val journal_to_json : t -> string
-val journal_of_json : string -> op list
+
+val journal_of_json : Json.t -> op list
+(** Inverse of {!journal_to_json} on a parsed value; unknown or
+    incomplete ops are dropped. *)
+
 val op_to_json : op -> string
 
 val op_of_json : Json.t -> op option

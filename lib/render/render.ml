@@ -10,6 +10,13 @@
 
 let box_ref b = Printf.sprintf "#%d" b.Vgraph.id
 
+(* Membership in a list of box ids, hashed once per render: the
+   renderers test every edge, so scanning the list made them quadratic. *)
+let mem_of ids =
+  let h = Hashtbl.create (List.length ids) in
+  List.iter (fun id -> Hashtbl.replace h id ()) ids;
+  Hashtbl.mem h
+
 (* All status tags a box carries, in one deterministic order — severity
    first ([BROKEN] = faulty memory, [TORN] = raced by a writer, then
    [SUSPECT:<law>] sorted by law) — so tags compose instead of the last
@@ -119,6 +126,7 @@ let ascii ?roots ?(stale = false) ?transport g =
             | None -> false)
           (Vgraph.reachable g seeds)
   in
+  let is_visible = mem_of visible in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "== %s%s ==\n" (Vgraph.title g) (if stale then " [STALE]" else ""));
@@ -127,7 +135,7 @@ let ascii ?roots ?(stale = false) ?transport g =
   List.iter (fun r -> Queue.add r queue) (Option.value roots ~default:(Vgraph.roots g));
   while not (Queue.is_empty queue) do
     let id = Queue.pop queue in
-    if (not (Hashtbl.mem emitted id)) && List.mem id visible then begin
+    if (not (Hashtbl.mem emitted id)) && is_visible id then begin
       Hashtbl.add emitted id ();
       match Vgraph.find g id with
       | None -> ()
@@ -167,6 +175,7 @@ let dot g =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph \"%s\" {\n  node [shape=record, fontname=monospace];\n  rankdir=LR;\n" (dot_escape (Vgraph.title g)));
   let visible = Vgraph.visible g in
+  let is_visible = mem_of visible in
   List.iter
     (fun id ->
       match Vgraph.find g id with
@@ -182,10 +191,10 @@ let dot g =
             List.iter
               (fun it ->
                 match it with
-                | Vgraph.Link { label; target = Some t } when List.mem t visible ->
+                | Vgraph.Link { label; target = Some t } when is_visible t ->
                     Buffer.add_string buf
                       (Printf.sprintf "  n%d -> n%d [label=\"%s\"];\n" id t (dot_escape label))
-                | Vgraph.Inline { label; target } when List.mem target visible ->
+                | Vgraph.Inline { label; target } when is_visible target ->
                     Buffer.add_string buf
                       (Printf.sprintf "  n%d -> n%d [label=\"%s\", style=dashed];\n" id target
                          (dot_escape label))
@@ -193,7 +202,7 @@ let dot g =
               (Vgraph.current_items b);
             List.iter
               (fun m ->
-                if List.mem m visible then
+                if is_visible m then
                   Buffer.add_string buf (Printf.sprintf "  n%d -> n%d [style=dotted];\n" id m))
               b.Vgraph.members
           end)
@@ -219,10 +228,11 @@ let svg_escape s =
 let svg g =
   Obs.with_span ~cat:"render" "render.svg" @@ fun () ->
   let visible = Vgraph.visible g in
+  let is_visible = mem_of visible in
   (* BFS levels from roots. *)
   let level = Hashtbl.create 64 in
   let queue = Queue.create () in
-  List.iter (fun r -> if List.mem r visible then (Hashtbl.replace level r 0; Queue.add r queue)) (Vgraph.roots g);
+  List.iter (fun r -> if is_visible r then (Hashtbl.replace level r 0; Queue.add r queue)) (Vgraph.roots g);
   while not (Queue.is_empty queue) do
     let id = Queue.pop queue in
     let l = Hashtbl.find level id in
@@ -232,7 +242,7 @@ let svg g =
         if not b.Vgraph.attrs.Vgraph.collapsed then
           List.iter
             (fun s ->
-              if List.mem s visible && not (Hashtbl.mem level s) then begin
+              if is_visible s && not (Hashtbl.mem level s) then begin
                 Hashtbl.replace level s (l + 1);
                 Queue.add s queue
               end)

@@ -105,11 +105,14 @@ let box_html g b =
 let html g =
   Obs.with_span ~cat:"render" "render.html" @@ fun () ->
   let visible = Vgraph.visible g in
+  (* hashed once: the BFS below tests every edge *)
+  let vis = Hashtbl.create (List.length visible) in
+  List.iter (fun id -> Hashtbl.replace vis id ()) visible;
   let level = Hashtbl.create 64 in
   let queue = Queue.create () in
   List.iter
     (fun r ->
-      if List.mem r visible then begin
+      if Hashtbl.mem vis r then begin
         Hashtbl.replace level r 0;
         Queue.add r queue
       end)
@@ -123,7 +126,7 @@ let html g =
         if not b.Vgraph.attrs.Vgraph.collapsed then
           List.iter
             (fun s ->
-              if List.mem s visible && not (Hashtbl.mem level s) then begin
+              if Hashtbl.mem vis s && not (Hashtbl.mem level s) then begin
                 Hashtbl.replace level s (l + 1);
                 Queue.add s queue
               end)

@@ -6,7 +6,7 @@
     a legal structure — a silently corrupted kernel (bit flips, the
     StackRot freed-node reuse) extracts "cleanly" into an object graph
     that violates its own invariants.  The sanitizer closes that gap:
-    a registry of per-law checkers runs over the boxes of an extracted
+    one checker per law runs over the boxes of an extracted
     {!Vgraph}, reading the {e real} memory behind each box, and emits
     typed verdicts that render as [SUSPECT:<law>] tags and feed the
     {!Obs} metrics registry.
@@ -25,6 +25,9 @@ type verdict = {
 let verdict_to_string v =
   Printf.sprintf "[SUSPECT:%s] box #%d @0x%x: %s" v.law v.box v.subject v.reason
 
+(* [applies] selects boxes by shape (usually [btype]); [run] reads the
+   real memory behind the box and returns [Error reason] on the first
+   violated law. *)
 type checker = {
   law : string;
   applies : Vgraph.box -> bool;
@@ -171,16 +174,7 @@ let xarray_checker =
         end);
   }
 
-let builtins = [ rbtree_checker; maple_checker; list_checker; xarray_checker ]
-
-(* ------------------------------------------------------------------ *)
-(* Registry *)
-
-let registry : checker list ref = ref builtins
-
-let register c = registry := !registry @ [ c ]
-let checkers () = !registry
-let reset () = registry := builtins
+let checkers = [ rbtree_checker; maple_checker; list_checker; xarray_checker ]
 
 (* ------------------------------------------------------------------ *)
 (* Running *)
@@ -205,18 +199,17 @@ let check_box ctx (b : Vgraph.box) =
             end;
             Some { law = c.law; box = b.Vgraph.id; subject = b.Vgraph.addr; reason }
       end)
-    (checkers ())
+    checkers
 
-(** Run every applicable checker over every box of [g].  [mark]
-    (default true) stamps suspect boxes with {!Vgraph.mark_suspect}, so
-    the next render shows [SUSPECT:<law>] tags. *)
-let check_graph ?(mark = true) ctx g =
+(** Run every applicable checker over every box of [g], stamping suspect
+    boxes with {!Vgraph.mark_suspect} so the next render shows
+    [SUSPECT:<law>] tags. *)
+let check_graph ctx g =
   let go () =
     List.concat_map
       (fun b ->
         let vs = check_box ctx b in
-        if mark then
-          List.iter (fun (v : verdict) -> Vgraph.mark_suspect b ~law:v.law v.reason) vs;
+        List.iter (fun (v : verdict) -> Vgraph.mark_suspect b ~law:v.law v.reason) vs;
         vs)
       (Vgraph.boxes g)
   in

@@ -1,5 +1,4 @@
-(** Structural sanitizer: a pluggable registry of invariant checkers
-    that validate extracted boxes against the laws of the data
+(** Structural sanitizer: invariant checkers that validate extracted boxes against the laws of the data
     structures they claim to be.
 
     Consistent sections (Target) guarantee the bytes of a box were not
@@ -32,30 +31,7 @@ type verdict = {
 
 val verdict_to_string : verdict -> string
 
-(** One pluggable checker: [applies] selects boxes by shape (usually
-    [btype]), [run] reads the real memory behind the box and returns
-    [Error reason] on the first violated law.  [run] must be bounded
-    and must not raise on corrupted input. *)
-type checker = {
-  law : string;
-  applies : Vgraph.box -> bool;
-  run : Kcontext.t -> Vgraph.box -> (unit, string) result;
-}
-
-val builtins : checker list
-(** The four built-in checkers (rbtree, maple, list, xarray). *)
-
-val register : checker -> unit
-(** Append a checker to the registry (after the builtins). *)
-
-val checkers : unit -> checker list
-val reset : unit -> unit
-(** Restore the registry to just the builtins (used by tests). *)
-
-val check_box : Kcontext.t -> Vgraph.box -> verdict list
-(** Verdicts of every applicable registered checker on one box. *)
-
-val check_graph : ?mark:bool -> Kcontext.t -> Vgraph.t -> verdict list
-(** Run the registry over every box of the graph.  [mark] (default
-    true) stamps suspect boxes with {!Vgraph.mark_suspect} so the next
-    render shows their [SUSPECT:<law>] tags. *)
+val check_graph : Kcontext.t -> Vgraph.t -> verdict list
+(** Run every applicable checker over every box of the graph, stamping
+    suspect boxes with {!Vgraph.mark_suspect} so the next render shows
+    their [SUSPECT:<law>] tags. *)

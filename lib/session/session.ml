@@ -811,11 +811,7 @@ type fleet_entry = {
 let fleet_entry_of_json e =
   let str k = Option.map Json.to_str (Json.member k e) in
   let int k d = match Json.member k e with Some (Json.Int n) -> n | _ -> d in
-  let ops =
-    match Option.bind (Json.member "jn" e) (Json.member "journal") with
-    | Some (Json.List l) -> List.filter_map Panel.op_of_json l
-    | _ -> []
-  in
+  let ops = Option.fold ~none:[] ~some:Panel.journal_of_json (Json.member "jn" e) in
   { fe_sid = int "sid" 0;
     fe_name = Option.value ~default:"?" (str "name");
     fe_target = Option.value ~default:default_target (str "target");

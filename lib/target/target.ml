@@ -104,8 +104,6 @@ let fault_to_string = function
   | Link_lost { at; ctx; detail } -> Printf.sprintf "link-lost (%s): 0x%x in %s" detail at ctx
   | Torn { lo; hi } -> Printf.sprintf "torn-read: [0x%x,0x%x) mutated during extraction" lo hi
 
-let pp_fault ppf f = Format.pp_print_string ppf (fault_to_string f)
-
 (* Obs is the registry of record for read accounting; [stats] below
    stays as the per-target facade over Kmem's counters. *)
 let c_reads = Obs.Counter.make "target.reads"

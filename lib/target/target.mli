@@ -191,7 +191,6 @@ val with_faults : t -> (unit -> 'a) -> 'a * fault list
     land in the global journal too. *)
 
 val fault_to_string : fault -> string
-val pp_fault : Format.formatter -> fault -> unit
 
 (* ------------------------------------------------------------------ *)
 (* Consistent sections — seqlock-style torn-read detection *)

@@ -228,8 +228,6 @@ let begin_plot t =
   if Obs.enabled () then
     Obs.Metrics.set_gauge "transport.breaker_state" (breaker_gauge t.brk)
 
-let budget_spent t = t.spent_ms
-
 let deadline_exceeded t =
   match t.deadline_ms with Some d -> t.spent_ms >= d | None -> false
 

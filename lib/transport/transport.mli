@@ -155,9 +155,6 @@ val set_deadline : t -> float option -> unit
 val begin_plot : t -> unit
 (** Reset the budget spend for a new plot. *)
 
-val budget_spent : t -> float
-(** Simulated ms charged against the current plot's budget. *)
-
 val deadline_exceeded : t -> bool
 (** True once the current plot has spent its whole budget — extraction
     should truncate instead of issuing more reads. *)

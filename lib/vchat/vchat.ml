@@ -3,9 +3,9 @@
     The paper uses DeepSeek-V2 with an in-context-learning prompt; we
     substitute a deterministic rule-based synthesizer over the same
     vocabulary so that the Table 3 experiment is reproducible offline.
-    The prompt template the paper would send to an LLM is kept in
-    {!prompt_template} for documentation parity, and an [llm] callback can
-    be plugged in to use a real model instead of the rules. *)
+    An [llm] callback can be plugged in to use a real model instead of
+    the rules; it receives the paper's prompt, {!prompt_template}
+    instantiated with the request. *)
 
 let prompt_template =
   {|A kernel object graph is extracted from a running Linux kernel.
@@ -205,11 +205,11 @@ let attr_of_action = function
   | Set_direction d -> ("direction", d)
 
 (** Synthesize a ViewQL program from a natural-language [desc]. The
-    optional [llm] callback (desc -> program) takes precedence, modelling
+    optional [llm] callback (prompt -> program) takes precedence, modelling
     a real model behind the same interface. *)
 let synthesize ?llm desc =
   match llm with
-  | Some f -> f desc
+  | Some f -> f (prompt_for desc)
   | None ->
       let stmts = ref [] in
       let var = ref 0 in

@@ -7,12 +7,6 @@
     offline and reproducibly. A real model can be plugged in through the
     [llm] callback of {!synthesize}. *)
 
-val prompt_template : string
-(** The paper's §4.2 prompt skeleton (kept for documentation parity). *)
-
-val prompt_for : string -> string
-(** Instantiate {!prompt_template} with a user description. *)
-
 exception Cannot_synthesize of string
 (** Raised when no actionable clause is recognized. *)
 
@@ -27,5 +21,6 @@ val synthesize : ?llm:(string -> string) -> string -> string
     clause-to-clause anaphora ("..., and collapse them").
 
     When [llm] is given it is called instead of the rules (modelling a
-    hosted model behind the same interface).
+    hosted model behind the same interface), with the paper's §4.2
+    prompt: the ViewQL grammar, in-context examples and [desc].
     @raise Cannot_synthesize when nothing actionable is found. *)

@@ -99,7 +99,6 @@ type state = {
           armed (the injection LCG draws once per performed read, so
           skipping a subtree's reads would shift every later fault) *)
   bad : (Vgraph.box_id, unit) Hashtbl.t;  (** per-run invalid verdicts *)
-  limits : limits;
   mutable box_budget : int;
   (* cache accounting for this run *)
   mutable hits : int;  (** boxes adopted from the previous run, zero reads *)
@@ -302,7 +301,7 @@ let iter_list st head_v =
   let rec go a acc n =
     if a = head || a = 0 then List.rev acc
     else if
-      Hashtbl.mem seen a || n >= st.limits.max_nodes
+      Hashtbl.mem seen a || n >= default_limits.max_nodes
       || Target.deadline_exceeded st.tgt
     then begin
       truncated st ~ctx:"List traversal" a;
@@ -329,7 +328,7 @@ let iter_hlist st head_v =
   let rec go a acc n =
     if a = 0 then List.rev acc
     else if
-      Hashtbl.mem seen a || n >= st.limits.max_nodes
+      Hashtbl.mem seen a || n >= default_limits.max_nodes
       || Target.deadline_exceeded st.tgt
     then begin
       truncated st ~ctx:"HList traversal" a;
@@ -358,7 +357,7 @@ let iter_rbtree st root_v =
   let rec inorder a depth acc =
     if a = 0 then acc
     else if
-      Hashtbl.mem seen a || depth > st.limits.max_depth
+      Hashtbl.mem seen a || depth > default_limits.max_depth
       || Target.deadline_exceeded st.tgt
     then begin
       truncated st ~ctx:"RBTree traversal" a;
@@ -407,7 +406,7 @@ let iter_xarray st xa_v =
       else begin
         let na = e land lnot 3 in
         if
-          Hashtbl.mem seen na || depth > st.limits.max_depth
+          Hashtbl.mem seen na || depth > default_limits.max_depth
           || Target.deadline_exceeded st.tgt
         then truncated st ~ctx:"XArray traversal" na
         else begin
@@ -443,7 +442,7 @@ let iter_maple st mt_v =
   let rec descend enc node_min node_max depth =
     let na = to_node enc in
     if
-      Hashtbl.mem seen na || depth > st.limits.max_depth
+      Hashtbl.mem seen na || depth > default_limits.max_depth
       || Target.deadline_exceeded st.tgt
     then truncated st ~ctx:"MapleEntries traversal" na
     else begin
@@ -867,7 +866,7 @@ and build_box_raw ?def st env ~bdef ~btype ~addr ~views ~bwhere =
     end
     else begin
       st.torn_sections <- st.torn_sections + 1;
-      if n < st.limits.max_retries then begin
+      if n < default_limits.max_retries then begin
         st.retries <- st.retries + 1;
         b.Vgraph.views <- [];
         extract (n + 1)
@@ -899,7 +898,7 @@ and build_box_raw ?def st env ~bdef ~btype ~addr ~views ~bwhere =
       let reason =
         Printf.sprintf "raced by a writer: [0x%x,0x%x)%s still dirty after %d retries" lo hi
           (match more with [] -> "" | _ -> Printf.sprintf " (+%d more ranges)" (List.length more))
-          st.limits.max_retries
+          default_limits.max_retries
       in
       Vgraph.mark_torn b reason;
       b.Vgraph.views <-
@@ -987,7 +986,7 @@ type result = {
   rebuilt : Vgraph.box_id list;  (** memoized boxes extracted this run, ascending *)
 }
 
-let run_exn ?(cfg = default_config) ?(defs = []) ?(limits = default_limits) ?cache tgt program =
+let run_exn ?(cfg = default_config) ?cache tgt program =
   Obs.with_span ~cat:"viewcl"
     ~attrs:[ ("stmts", string_of_int (List.length program)) ]
     "viewcl.run"
@@ -999,11 +998,10 @@ let run_exn ?(cfg = default_config) ?(defs = []) ?(limits = default_limits) ?cac
   let st =
     { tgt; cfg; graph = cache.pc_graph; defs = Hashtbl.create 32; cache;
       reuse_ok = not (Kmem.injection_active (Target.mem tgt));
-      bad = Hashtbl.create 32; limits; box_budget = max_boxes;
+      bad = Hashtbl.create 32; box_budget = max_boxes;
       hits = 0; misses = 0; invalidated = 0; rebuilt = [];
       torn_sections = 0; retries = 0; repaired = 0; torn_boxes = 0 }
   in
-  List.iter (fun d -> Hashtbl.replace st.defs d.bname d) defs;
   let env = ref [] in
   let plots = ref [] in
   (try
@@ -1059,5 +1057,5 @@ let run_exn ?(cfg = default_config) ?(defs = []) ?(limits = default_limits) ?cac
 
 (* Surface target-layer failures (bad member paths, derefs, ...) as
    ViewCL errors. *)
-let run ?cfg ?defs ?limits ?cache tgt program =
-  try run_exn ?cfg ?defs ?limits ?cache tgt program with Invalid_argument m -> fail "%s" m
+let run ?cfg ?cache tgt program =
+  try run_exn ?cfg ?cache tgt program with Invalid_argument m -> fail "%s" m

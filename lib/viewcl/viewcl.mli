@@ -82,15 +82,13 @@ val cache_pages : cache -> Vgraph.box_id -> (int * int) list
     the exact invalidation footprint a Kmem write is tested against.
     Empty for unknown ids. *)
 
-val run :
-  ?cfg:config -> ?limits:Interp.limits -> ?cache:cache -> ?prelude:Ast.program list ->
-  Target.t -> string -> result
-(** Evaluate a program against a live target. [prelude] supplies
-    predefined Box definitions. Box construction is memoized per
-    (definition, address), so shared objects become shared boxes and
-    cyclic structures terminate. Every box builds inside a consistent
-    section (seqlock-style) and is retried up to [limits.max_retries]
-    times when a writer races it, then degrades to a [TORN] box.
+val run : ?cfg:config -> ?cache:cache -> Target.t -> string -> result
+(** Evaluate a program against a live target. Box construction is
+    memoized per (definition, address), so shared objects become shared
+    boxes and cyclic structures terminate. Every box builds inside a
+    consistent section (seqlock-style) and is retried up to
+    [Interp.default_limits.max_retries] times when a writer races it,
+    then degrades to a [TORN] box.
 
     With [?cache] (from a previous run of the same program), the run is
     an {e incremental re-plot}: a box whose subtree's page stamps all

@@ -11,26 +11,9 @@ type t
 
 val create : ?seed:int -> Kstate.t -> t
 
-val populate_system : t -> unit
-(** Kernel threads, IRQs, timers, workqueues, swap areas, devices, and
-    the shared IPC objects. *)
-
-val spawn_processes : t -> Kmem.addr
-(** systemd (pid 1) plus the 5 x (leader + 2 threads) worker population;
-    returns the systemd task. *)
-
 val step : t -> unit
 (** One iteration of per-process activity: file opens + mmaps, anonymous
     mapping churn, semaphore and message-queue traffic. *)
-
-val populate_userspace : t -> unit
-(** Pipes, sockets and signal traffic on the first workers (used by the
-    pipe/socket/signal figures). *)
-
-val simulate_time : t -> unit
-(** Scheduler ticks (vruntime divergence + preemptions), timer-wheel
-    processing, heap page faults, and one worker thread exiting as a
-    zombie — so plots show varied, realistic task states. *)
 
 val run : ?iters:int -> t -> unit
 (** The full standard workload: {!populate_system}, {!spawn_processes},
@@ -39,9 +22,6 @@ val run : ?iters:int -> t -> unit
 
 val leaders : t -> Kmem.addr list
 (** The five worker group leaders, in spawn order. *)
-
-val rand : t -> int -> int
-(** The workload's deterministic PRNG (exposed for tests). *)
 
 (** Chaos harness: seeded mutators fired between target reads (via
     {!Target.set_read_hook}), simulating the live kernel changing under
@@ -65,9 +45,6 @@ module Chaos : sig
 
   val fired : chaos -> int
   (** Mutations performed so far. *)
-
-  val hook : chaos -> unit -> unit
-  (** The raw hook (exposed for tests driving it manually). *)
 
   val mutate : chaos -> unit
   (** Perform one mutation unconditionally (exposed for tests). *)

@@ -25,4 +25,5 @@ let () =
       ("digest", Test_digest.suite);
       ("health", Test_health.suite);
       ("trace", Test_trace.suite);
-      ("integration", Test_visualinux.suite) ]
+      ("integration", Test_visualinux.suite);
+      ("exports", Test_exports.suite) ]

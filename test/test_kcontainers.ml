@@ -88,7 +88,7 @@ let test_hlist_del_middle () =
   List.iter (Khlist.add_head c head) ns;
   let middle = List.nth ns 2 in
   Khlist.del c middle;
-  Alcotest.(check int) "length" 4 (Khlist.length c head);
+  Alcotest.(check int) "length" 4 (List.length (Khlist.nodes c head));
   Alcotest.(check bool) "gone" false (List.mem middle (Khlist.nodes c head))
 
 (* ------------------------------------------------------------------ *)

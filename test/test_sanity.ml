@@ -294,24 +294,6 @@ let test_list_symmetry_verdict () =
       Alcotest.(check bool) "names the asymmetry" true (contains v.Sanity.reason "prev")
   | vs -> Alcotest.fail (Printf.sprintf "expected 1 verdict, got %d" (List.length vs))
 
-let test_registry_pluggable () =
-  let c = ctx () in
-  let g = Vgraph.create () in
-  let b = Vgraph.add_box g ~btype:"widget" ~bdef:"" ~addr:0x1000 ~size:0 ~container:false in
-  ignore b;
-  Sanity.register
-    {
-      Sanity.law = "widget";
-      applies = (fun b -> b.Vgraph.btype = "widget");
-      run = (fun _ _ -> Error "always suspect");
-    };
-  let vs = Sanity.check_graph c g in
-  Sanity.reset ();
-  (match vs with
-  | [ v ] -> Alcotest.(check string) "custom law ran" "widget" v.Sanity.law
-  | _ -> Alcotest.fail "custom checker did not run");
-  Alcotest.(check int) "reset restores builtins" 0 (List.length (Sanity.check_graph c g))
-
 (* ------------------------------------------------------------------ *)
 (* vverify end to end: a hand-corrupted runqueue rbtree is flagged *)
 
@@ -355,5 +337,4 @@ let suite =
     Alcotest.test_case "stale leftmost cache verdict" `Quick test_rbtree_leftmost_cache_verdict;
     Alcotest.test_case "maple pivot verdict" `Quick test_maple_pivot_verdict;
     Alcotest.test_case "list symmetry verdict" `Quick test_list_symmetry_verdict;
-    Alcotest.test_case "registry is pluggable" `Quick test_registry_pluggable;
     Alcotest.test_case "vverify flags corrupted rbtree" `Quick test_vverify_flags_corrupted_rbtree ]

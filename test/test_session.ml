@@ -115,18 +115,18 @@ let test_compaction_drops_churn () =
   Alcotest.(check (list int)) "survivor keeps its original id" [ 11 ] (Panel.pane_ids t)
 
 let test_auto_compaction_bounds_journal () =
+  (* 2000 churn ops against the 512-op compaction limit *)
   let t = Panel.create () in
-  Panel.set_journal_limit t (Some 8);
-  for _ = 1 to 50 do
+  for _ = 1 to 1000 do
     let p = Panel.open_primary t ~program:"x" (Vgraph.create ()) in
     Panel.close t p.Panel.pid
   done;
   Alcotest.(check bool) "journal stays bounded under churn" true
-    (List.length (Panel.journal t) <= 10);
+    (List.length (Panel.journal t) <= 513);
   let p = Panel.open_primary t ~program:"live" (Vgraph.create ()) in
-  Alcotest.(check int) "ids keep advancing past reserved ranges" 51 p.Panel.pid;
+  Alcotest.(check int) "ids keep advancing past reserved ranges" 1001 p.Panel.pid;
   let t2, _ = Panel.recover ~extract:(fun _ -> Some (Vgraph.create ())) (Panel.journal t) in
-  Alcotest.(check (list int)) "recovery reproduces the surviving pane id" [ 51 ]
+  Alcotest.(check (list int)) "recovery reproduces the surviving pane id" [ 1001 ]
     (Panel.pane_ids t2)
 
 (* ------------------------------------------------------------------ *)

@@ -195,8 +195,7 @@ let test_deadline_budget () =
   (* over-budget boxes are marked broken, not dropped silently *)
   Alcotest.(check bool) "broken boxes tagged" true
     (List.exists (fun b -> Vgraph.broken b <> None) (Vgraph.boxes res2.Viewcl.graph));
-  Alcotest.(check bool) "budget accounting visible" true
-    (Transport.budget_spent tr2 >= 40.)
+  Alcotest.(check bool) "budget accounting visible" true (Transport.deadline_exceeded tr2)
 
 let plots_survive_any_fault_rate =
   QCheck.Test.make ~name:"extraction never raises over a faulty link" ~count:8
@@ -336,7 +335,7 @@ let test_journal_json_roundtrip () =
   build_multi_pane s;
   Panel.close s.Visualinux.panel 3;
   let ops = Panel.journal s.Visualinux.panel in
-  let ops' = Panel.journal_of_json (Panel.journal_to_json s.Visualinux.panel) in
+  let ops' = Panel.journal_of_json (Json.parse (Panel.journal_to_json s.Visualinux.panel)) in
   Alcotest.(check int) "op count survives json" (List.length ops) (List.length ops');
   Alcotest.(check bool) "ops survive json round-trip" true (ops = ops')
 

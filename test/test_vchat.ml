@@ -63,7 +63,9 @@ let test_llm_hook () =
     (Vchat.synthesize ~llm "anything at all")
 
 let test_prompt_template () =
-  let p = Vchat.prompt_for "collapse everything" in
+  let sent = ref "" in
+  ignore (Vchat.synthesize ~llm:(fun p -> sent := p; "") "collapse everything");
+  let p = !sent in
   Alcotest.(check bool) "desc substituted" true (contains p "collapse everything");
   Alcotest.(check bool) "ICL examples present" true (contains p "Example 1");
   Alcotest.(check bool) "syntax described" true (contains p "UPDATE <set-expression>")
