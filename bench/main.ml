@@ -510,18 +510,6 @@ let degradation ~rates ~profile ~deadline_ms ~seed =
    structural sanitizer sweeps every extracted graph for structures the
    mutators left mid-surgery. *)
 
-(* Canonical render for warm-vs-cold identity: box ids renumbered 1..n
-   in preorder from the roots, so an in-place warm refresh (old ids) and
-   a cold plot (fresh ids) of the same state print the same text.  The
-   obs timing footer is wall-clock noise, not plot content — drop it. *)
-let canonical g =
-  let g' = Vgraph.renumber g in
-  Vgraph.set_title g' "identity";
-  Render.ascii g'
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> not (String.length l >= 5 && String.sub l 0 5 = "[obs:"))
-  |> String.concat "\n"
-
 let chaos ~rates ~seed =
   section (Printf.sprintf "Chaos: Table 2 figures under concurrent mutation (seed %d)" seed);
   Printf.printf "%-6s %5s %6s %6s %5s %7s %8s %6s %7s %8s\n" "rate" "plots" "boxes" "fired"
@@ -570,7 +558,7 @@ let chaos ~rates ~seed =
          a cold uncached plot of the same state *)
       let warm =
         match Visualinux.vrefresh s ~pane:id_pane.Panel.pid with
-        | Some (res, _) -> canonical res.Viewcl.graph
+        | Some (res, _) -> Render.canonical res.Viewcl.graph
         | None -> assert false
       in
       let cold_s = Visualinux.attach kernel in
@@ -578,7 +566,7 @@ let chaos ~rates ~seed =
       let cold_res =
         Viewcl.run ~cfg:cold_s.Visualinux.cfg cold_s.Visualinux.target id_sc.Scripts.source
       in
-      assert (warm = canonical cold_res.Viewcl.graph);
+      assert (warm = Render.canonical cold_res.Viewcl.graph);
       Printf.printf "       cached-vs-cold identity after the storm: ok\n")
     rates;
   (* the structural sanitizer saw the graphs, so suspect = 0 means clean *)
@@ -706,7 +694,7 @@ let pane_state vis =
   List.map
     (fun id ->
       let p = Panel.pane vis.Visualinux.panel id in
-      (id, List.map (fun b -> b.Vgraph.id) (Vgraph.boxes p.Panel.graph), canonical p.Panel.graph))
+      (id, List.map (fun b -> b.Vgraph.id) (Vgraph.boxes p.Panel.graph), Render.canonical p.Panel.graph))
     (Panel.pane_ids vis.Visualinux.panel)
 
 (* one figure per session, each one the workload mutates every step *)
@@ -732,7 +720,7 @@ let solo_txt kernel =
   in
   fun (sc : Scripts.script) ->
     let s = Lazy.force solo in
-    canonical (Viewcl.run ~cfg:s.Visualinux.cfg s.Visualinux.target sc.Scripts.source).Viewcl.graph
+    Render.canonical (Viewcl.run ~cfg:s.Visualinux.cfg s.Visualinux.target sc.Scripts.source).Viewcl.graph
 
 let sessions_bench ~n ~rate ~rounds ~seed =
   section
@@ -896,7 +884,7 @@ let sessions_bench ~n ~rate ~rounds ~seed =
       let check pane sc =
         match Session.vrefresh srv sid ~pane with
         | Session.Admitted (Some (res, _)) ->
-            assert (canonical res.Viewcl.graph = solo_txt sc)
+            assert (Render.canonical res.Viewcl.graph = solo_txt sc)
         | _ -> assert false
       in
       let shared_pane, own_pane = Hashtbl.find panes sid in
@@ -1244,7 +1232,7 @@ let campaign_bench ~file ~seed =
             hedge_checked := true;
             assert ((Transport.snapshot (tr_of home)).Transport.breaker_trips = 0);
             match r with
-            | Some (res, _) -> assert (canonical res.Viewcl.graph = solo_txt sc)
+            | Some (res, _) -> assert (Render.canonical res.Viewcl.graph = solo_txt sc)
             | None -> assert false
           end
       | Session.Rejected _, _ ->

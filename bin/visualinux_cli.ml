@@ -47,7 +47,7 @@ let render fmt graph =
   | `Ascii -> Render.ascii graph
   | `Dot -> Render.dot graph
   | `Svg -> Render.svg graph
-  | `Json -> Vgraph.to_json graph
+  | `Json -> Json.to_string (Vgraph.to_json graph)
   | `Html -> Render_html.html graph
 
 let fig_arg =
@@ -205,7 +205,7 @@ the shared target link — a refusal prints a typed reason, never a crash):
   session budget retries <n|off>  retry-token bucket (1 earned per op)
   session weight <n>     fair-admission priority (higher sheds later)
   session epoch          open a fresh budget/cache-stat epoch
-  server status          targets, health/EWMA, breaker state, sessions
+  server status          the fleet dashboard (same as vtop)
   server save <file>     checksummed durable image of the whole fleet
   server recover <file>  fsck + replay a durable image into this
                          server; corrupt sessions come back
@@ -417,7 +417,7 @@ let repl_cmd =
           Ok ()
       | [ "show"; pane; "json" ] ->
           let* p = pane_of pane in
-          print_string (Vgraph.to_json p.Panel.graph);
+          print_string (Json.to_string (Vgraph.to_json p.Panel.graph));
           Ok ()
       | [ "link" ] ->
           with_link (fun tr ->
@@ -616,9 +616,20 @@ let repl_cmd =
           Error
             "usage: session new <name> [rate] | list | use <id> | close <id> | budget \
              reads|ms|retries <n|off> | weight <n> | epoch"
-      | [ "server"; "status" ] ->
-          print_string (Session.status srv);
-          Ok ()
+      | ("vtop" :: rest | "server" :: "status" :: rest) -> (
+          match rest with
+          | [] ->
+              Session.register_slos srv;
+              print_string (Session.vtop srv);
+              Ok ()
+          | [ k ] -> (
+              match int_of_string_opt k with
+              | Some top when top >= 0 ->
+                  Session.register_slos srv;
+                  print_string (Session.vtop ~top srv);
+                  Ok ()
+              | _ -> Error "usage: vtop [k]")
+          | _ -> Error "usage: vtop [k]")
       | [ "save"; file ] | [ "server"; "save"; file ] ->
           Durable.write_file file (Session.fleet_image srv);
           Printf.printf "durable fleet image written to %s\n" file;
@@ -648,20 +659,6 @@ let repl_cmd =
               Ok ())
       | "server" :: _ ->
           Error "usage: server status | save <file> | recover <file> | fsck <file>"
-      | "vtop" :: rest -> (
-          match rest with
-          | [] ->
-              Session.register_slos srv;
-              print_string (Session.vtop srv);
-              Ok ()
-          | [ k ] -> (
-              match int_of_string_opt k with
-              | Some top when top >= 0 ->
-                  Session.register_slos srv;
-                  print_string (Session.vtop ~top srv);
-                  Ok ()
-              | _ -> Error "usage: vtop [k]")
-          | _ -> Error "usage: vtop [k]")
       | w :: _ -> Error (Printf.sprintf "unknown command %S (try 'help')" w)
     in
     let rec loop () =

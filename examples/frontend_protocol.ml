@@ -32,7 +32,7 @@ let () =
     | Protocol.Pane_opened { pane; graph } -> (pane, graph)
     | _ -> failwith "vplot failed"
   in
-  let boxes j = List.length (Json.to_list (Json.member_exn "boxes" (Json.parse j))) in
+  let boxes j = List.length (Json.to_list (Json.member_exn "boxes" j)) in
   Printf.printf "front-end received pane %d with %d boxes\n\n" pane (boxes graph_json);
 
   (* 2. vctrl: a ViewQL refinement over the wire. *)
@@ -57,8 +57,7 @@ let () =
   (* 4. The front-end re-fetches and renders from the wire format alone. *)
   match post (Protocol.encode_request (Protocol.Get_pane { pane })) with
   | Protocol.Pane_graph { graph } ->
-      let j = Json.parse graph in
-      let boxes = Json.to_list (Json.member_exn "boxes" j) in
+      let boxes = Json.to_list (Json.member_exn "boxes" graph) in
       let collapsed =
         List.filter
           (fun b ->

@@ -18,12 +18,12 @@ type request =
   | Get_pane of { pane : int }  (** fetch a pane's graph for (re)rendering *)
 
 type response =
-  | Pane_opened of { pane : int; graph : string }  (** graph as JSON *)
-  | Updated of { count : int; graph : string }
+  | Pane_opened of { pane : int; graph : Json.t }  (** graph as {!Vgraph.to_json} *)
+  | Updated of { count : int; graph : Json.t }
   | Found of (int * int) list  (** (pane, box) hits *)
   | Closed
-  | Synthesized of { viewql : string; count : int; graph : string }
-  | Pane_graph of { graph : string }
+  | Synthesized of { viewql : string; count : int; graph : Json.t }
+  | Pane_graph of { graph : Json.t }
   | Error of string
 
 (* ------------------------------------------------------------------ *)
@@ -78,10 +78,9 @@ let encode_response r =
   let open Json in
   let obj = function
     | Pane_opened { pane; graph } ->
-        Obj [ ("status", String "pane_opened"); ("pane", Int pane);
-              ("graph", Json.parse graph) ]
+        Obj [ ("status", String "pane_opened"); ("pane", Int pane); ("graph", graph) ]
     | Updated { count; graph } ->
-        Obj [ ("status", String "updated"); ("count", Int count); ("graph", Json.parse graph) ]
+        Obj [ ("status", String "updated"); ("count", Int count); ("graph", graph) ]
     | Found hits ->
         Obj
           [ ("status", String "found");
@@ -90,8 +89,8 @@ let encode_response r =
     | Closed -> Obj [ ("status", String "closed") ]
     | Synthesized { viewql; count; graph } ->
         Obj [ ("status", String "synthesized"); ("viewql", String viewql); ("count", Int count);
-              ("graph", Json.parse graph) ]
-    | Pane_graph { graph } -> Obj [ ("status", String "graph"); ("graph", Json.parse graph) ]
+              ("graph", graph) ]
+    | Pane_graph { graph } -> Obj [ ("status", String "graph"); ("graph", graph) ]
     | Error m -> Obj [ ("status", String "error"); ("message", String m) ]
   in
   Json.to_string (obj r)
@@ -99,7 +98,7 @@ let encode_response r =
 let decode_response s =
   let open Json in
   let j = parse s in
-  let graph () = Json.to_string (member_exn "graph" j) in
+  let graph () = member_exn "graph" j in
   match to_str (member_exn "status" j) with
   | "pane_opened" -> Pane_opened { pane = to_int (member_exn "pane" j); graph = graph () }
   | "updated" -> Updated { count = to_int (member_exn "count" j); graph = graph () }
@@ -151,5 +150,10 @@ let dispatch s req =
   | Vchat.Cannot_synthesize _ -> Error "cannot synthesize a ViewQL program"
   | Invalid_argument m -> Error m
 
-(** The full wire round trip: JSON request in, JSON response out. *)
-let handle s json = encode_response (dispatch s (decode_request json))
+(** The full wire round trip: JSON request in, JSON response out.  A
+    request that does not decode is answered with an [Error]. *)
+let handle s json =
+  encode_response
+    (match decode_request json with
+    | req -> dispatch s req
+    | exception Json.Parse_error m -> Error ("bad request: " ^ m))

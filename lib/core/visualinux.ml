@@ -80,7 +80,6 @@ type plot_stats = {
   wall_ms : float;  (** extraction time on the monotonicized {!Obs.Clock} *)
   link : Transport.snapshot option;  (** transport health, when attached *)
   spans : int;  (** obs spans recorded during this plot (0 when disabled) *)
-  trace : Obs.span list option;  (** those spans, oldest first, when tracing *)
   cache_hits : int;  (** boxes adopted from the previous plot of this pane *)
   cache_misses : int;  (** boxes built for the first time *)
   cache_invalidated : int;  (** stale cached boxes re-extracted in place *)
@@ -114,7 +113,6 @@ let extract ?cache ?(on_fail = ignore) s program =
 let timed s ?(attrs = []) name f =
   Target.reset_stats s.target;
   let spans0 = Obs.spans_total () in
-  let rel0 = Obs.since_epoch_ms () in
   let tid =
     if Obs.Trace.current () <> 0 then Obs.Trace.current () else Obs.Trace.mint ()
   in
@@ -125,18 +123,12 @@ let timed s ?(attrs = []) name f =
          if Obs.enabled () then
            Obs.Trace.with_trace tid (fun () -> Obs.Metrics.observe "core.plot_ms" wall_ms);
          let st = Target.stats s.target in
-         let trace =
-           if Obs.enabled () then
-             Some
-               (List.filter (fun (sp : Obs.span) -> sp.Obs.st0_ms >= rel0) (Obs.span_events ()))
-           else None
-         in
          ( res,
            { boxes = Vgraph.box_count res.Viewcl.graph;
              bytes = Vgraph.total_bytes res.Viewcl.graph; reads = st.Target.reads;
              read_bytes = st.Target.bytes; wall_ms;
              link = Option.map Transport.snapshot (Target.transport s.target);
-             spans = Obs.spans_total () - spans0; trace; cache_hits = res.Viewcl.cache_hits;
+             spans = Obs.spans_total () - spans0; cache_hits = res.Viewcl.cache_hits;
              cache_misses = res.Viewcl.cache_misses;
              cache_invalidated = res.Viewcl.cache_invalidated; trace_id = tid } ))
 

@@ -677,35 +677,6 @@ let reset () =
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
 
-(* Obs is below vgraph in the library DAG, so it carries its own tiny
-   JSON writer (the reader side round-trips through Vgraph's Json). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f =
-  if Float.is_nan f then "null"
-  else if f = Float.infinity then "1e308"
-  else if f = Float.neg_infinity then "-1e308"
-  else Printf.sprintf "%.6f" f
-
-let args_json attrs =
-  Printf.sprintf "{%s}"
-    (String.concat ","
-       (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-          attrs))
-
 (* self-reporting gauges: ring pressure is itself a metric, so artifact
    consumers can see when the event list under-reports the run *)
 let ring_gauges () =
@@ -717,62 +688,50 @@ let ring_gauges () =
 
 let chrome_trace () =
   ring_gauges ();
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_char buf ',' in
   let by_id = Hashtbl.create 1024 in
-  List.iter
-    (fun ev ->
-      sep ();
-      match ev with
-      | Span s ->
-          if s.sid <> 0 then Hashtbl.replace by_id s.sid s;
-          let ids =
-            (if s.strace <> 0 then [ ("trace", string_of_int s.strace) ] else [])
-            @ (if s.sid <> 0 then [ ("span", string_of_int s.sid) ] else [])
-            @ if s.sparent <> 0 then [ ("parent", string_of_int s.sparent) ] else []
-          in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":1,\"args\":%s}"
-               (json_escape s.sname) (json_escape s.scat)
-               (json_float (s.st0_ms *. 1000.))
-               (json_float (s.sdur_ms *. 1000.))
-               (args_json ((("depth", string_of_int s.sdepth) :: ids) @ s.sattrs)))
-      | Instant i ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%s,\"s\":\"t\",\"pid\":1,\"tid\":1,\"args\":%s}"
-               (json_escape i.iname) (json_escape i.icat)
-               (json_float (i.it_ms *. 1000.))
-               (args_json i.iattrs)))
-    (events ());
+  let us ms = Json.Float (ms *. 1000.) in
+  let ev ?args name cat ph kvs =
+    let str (k, v) = (k, Json.String v) in
+    Json.Obj
+      ((List.map str [ ("name", name); ("cat", cat); ("ph", ph) ] @ kvs)
+      @ [ ("pid", Json.Int 1); ("tid", Json.Int 1) ]
+      @ Option.fold ~none:[] ~some:(fun a -> [ ("args", Json.Obj (List.map str a)) ]) args)
+  in
+  let event = function
+    | Span s ->
+        if s.sid <> 0 then Hashtbl.replace by_id s.sid s;
+        let ids =
+          (if s.strace <> 0 then [ ("trace", string_of_int s.strace) ] else [])
+          @ (if s.sid <> 0 then [ ("span", string_of_int s.sid) ] else [])
+          @ if s.sparent <> 0 then [ ("parent", string_of_int s.sparent) ] else []
+        in
+        ev s.sname s.scat "X"
+          [ ("ts", us s.st0_ms); ("dur", us s.sdur_ms) ]
+          ~args:((("depth", string_of_int s.sdepth) :: ids) @ s.sattrs)
+    | Instant i -> ev i.iname i.icat "i" [ ("ts", us i.it_ms); ("s", Json.String "t") ] ~args:i.iattrs
+  in
+  let evs = List.map event (events ()) in
   (* span links as flow events ("s" start / "f" finish pairs sharing an
      id): hedge / canary / retry / probation arrows in Perfetto.  Links
      whose endpoints were evicted from the ring are skipped — the flow
      needs slice coordinates to bind to. *)
-  let flow_id = ref 0 in
-  Queue.iter
-    (fun l ->
-      match (Hashtbl.find_opt by_id l.lfrom, Hashtbl.find_opt by_id l.lto) with
-      | Some a, Some b ->
-          incr flow_id;
-          let mid s = (s.st0_ms +. (s.sdur_ms /. 2.)) *. 1000. in
-          sep ();
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"link\",\"ph\":\"s\",\"id\":%d,\"ts\":%s,\"pid\":1,\"tid\":1}"
-               (json_escape l.lkind) !flow_id (json_float (mid a)));
-          sep ();
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"link\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"ts\":%s,\"pid\":1,\"tid\":1}"
-               (json_escape l.lkind) !flow_id (json_float (Float.max (mid a) (mid b))))
-      | _ -> ())
-    links_q;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents buf
+  let flows =
+    Queue.fold
+      (fun (n, acc) l ->
+        match (Hashtbl.find_opt by_id l.lfrom, Hashtbl.find_opt by_id l.lto) with
+        | Some a, Some b ->
+            let mid s = s.st0_ms +. (s.sdur_ms /. 2.) and id = ("id", Json.Int (n + 1)) in
+            ( n + 1,
+              ev l.lkind "link" "f"
+                [ ("bp", Json.String "e"); id; ("ts", us (Float.max (mid a) (mid b))) ]
+              :: ev l.lkind "link" "s" [ id; ("ts", us (mid a)) ]
+              :: acc )
+        | _ -> (n, acc))
+      (0, []) links_q
+    |> snd |> List.rev
+  in
+  Json.to_string
+    (Json.Obj [ ("traceEvents", Json.List (evs @ flows)); ("displayTimeUnit", Json.String "ms") ])
 
 let profile_table () =
   let rows = Profile.rows () in
@@ -790,70 +749,47 @@ let profile_table () =
 
 let metrics_json ?(extra = []) () =
   ring_gauges ();
-  let buf = Buffer.create 4096 in
-  let kv_block name body = Printf.sprintf "\"%s\":{%s}" name (String.concat "," body) in
-  Buffer.add_char buf '{';
-  Buffer.add_string buf
-    (kv_block "meta"
-       (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-          extra));
-  Buffer.add_char buf ',';
-  Buffer.add_string buf
-    (kv_block "counters"
-       (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v)
-          (Metrics.counters ())));
-  Buffer.add_char buf ',';
-  Buffer.add_string buf
-    (kv_block "gauges"
-       (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (json_float v))
-          (Metrics.gauges ())));
-  Buffer.add_char buf ',';
-  Buffer.add_string buf
-    (kv_block "histograms"
-       (List.map
-          (fun (k, (s : Metrics.summary)) ->
-            Printf.sprintf
-              "\"%s\":{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s}"
-              (json_escape k) s.Metrics.count (json_float s.Metrics.sum)
-              (json_float s.Metrics.minv) (json_float s.Metrics.maxv) (json_float s.Metrics.p50)
-              (json_float s.Metrics.p95) (json_float s.Metrics.p99))
-          (Metrics.histograms ())));
-  Buffer.add_char buf ',';
+  let open Json in
+  let obj f kvs = Obj (List.map (fun (k, v) -> (k, f v)) kvs) in
+  let int n = Int n and num f = Float f in
+  let summary (s : Metrics.summary) =
+    Obj
+      (("count", Int s.Metrics.count)
+      :: List.map (fun (k, v) -> (k, Float v))
+           [ ("sum", s.Metrics.sum); ("min", s.Metrics.minv); ("max", s.Metrics.maxv);
+             ("p50", s.Metrics.p50); ("p95", s.Metrics.p95); ("p99", s.Metrics.p99) ])
+  in
   (* histogram exemplars: per-bucket most recent trace id, so a p95
      outlier in a bench table can name the trace behind it.  Array
      values keep each histogram's summary object flat. *)
-  Buffer.add_string buf
-    (kv_block "exemplars"
-       (List.filter_map
-          (fun (k, _) ->
-            match Metrics.exemplars k with
-            | [] -> None
-            | exs ->
-                Some
-                  (Printf.sprintf "\"%s\":[%s]" (json_escape k)
-                     (String.concat ","
-                        (List.map
-                           (fun (b, t, v) ->
-                             Printf.sprintf "{\"bucket\":%d,\"trace\":%d,\"value\":%s}" b t
-                               (json_float v))
-                           exs))))
-          (Metrics.histograms ())));
-  Buffer.add_char buf ',';
-  Buffer.add_string buf
-    (kv_block "spans"
-       (List.map
-          (fun (r : Profile.row) ->
-            Printf.sprintf "\"%s\":{\"count\":%d,\"total_ms\":%s,\"self_ms\":%s}"
-              (json_escape r.Profile.pname) r.Profile.pcount (json_float r.Profile.ptotal_ms)
-              (json_float r.Profile.pself_ms))
-          (List.sort (fun (a : Profile.row) b -> compare a.Profile.pname b.Profile.pname)
-             (Profile.rows ()))));
-  Buffer.add_char buf ',';
-  Buffer.add_string buf
-    (Printf.sprintf "\"events\":{\"buffered\":%d,\"dropped\":%d,\"spans_total\":%d,\"links\":%d}"
-       (event_count ()) (dropped ()) (spans_total ()) (Queue.length links_q));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let exemplars (k, _) =
+    match Metrics.exemplars k with
+    | [] -> None
+    | exs ->
+        let one (b, t, v) = Obj [ ("bucket", Int b); ("trace", Int t); ("value", Float v) ] in
+        Some (k, List (List.map one exs))
+  in
+  let span (r : Profile.row) =
+    ( r.Profile.pname,
+      Obj
+        [ ("count", Int r.Profile.pcount); ("total_ms", Float r.Profile.ptotal_ms);
+          ("self_ms", Float r.Profile.pself_ms) ] )
+  in
+  to_string
+    (Obj
+       [ ("meta", obj (fun v -> String v) extra); ("counters", obj int (Metrics.counters ()));
+         ("gauges", obj num (Metrics.gauges ()));
+         ("histograms", obj summary (Metrics.histograms ()));
+         ("exemplars", Obj (List.filter_map exemplars (Metrics.histograms ())));
+         ( "spans",
+           Obj
+             (List.map span
+                (List.sort (fun (a : Profile.row) b -> compare a.Profile.pname b.Profile.pname)
+                   (Profile.rows ()))) );
+         ( "events",
+           obj int
+             [ ("buffered", event_count ()); ("dropped", dropped ());
+               ("spans_total", spans_total ()); ("links", Queue.length links_q) ] ) ])
 
 (* Prometheus text exposition: counters, gauges, and histograms as
    quantile summaries.  Metric names are mangled to the prometheus
@@ -863,6 +799,14 @@ let prom_name s =
     (fun c ->
       match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c | _ -> '_')
     s
+
+(* The exposition format's own number spelling: it is not JSON, and it
+   has names for the non-finite values. *)
+let prom_float f =
+  if Float.is_nan f then "NaN"
+  else if f = Float.infinity then "+Inf"
+  else if f = Float.neg_infinity then "-Inf"
+  else Printf.sprintf "%.6f" f
 
 let prometheus () =
   ring_gauges ();
@@ -875,7 +819,7 @@ let prometheus () =
   List.iter
     (fun (k, v) ->
       let n = prom_name k in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n%s %s\n" n n (json_float v)))
+      Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n%s %s\n" n n (prom_float v)))
     (Metrics.gauges ());
   List.iter
     (fun (k, (s : Metrics.summary)) ->
@@ -883,9 +827,9 @@ let prometheus () =
       Buffer.add_string buf (Printf.sprintf "# TYPE %s summary\n" n);
       List.iter
         (fun (q, v) ->
-          Buffer.add_string buf (Printf.sprintf "%s{quantile=\"%s\"} %s\n" n q (json_float v)))
+          Buffer.add_string buf (Printf.sprintf "%s{quantile=\"%s\"} %s\n" n q (prom_float v)))
         [ ("0.5", s.Metrics.p50); ("0.95", s.Metrics.p95); ("0.99", s.Metrics.p99) ];
-      Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (json_float s.Metrics.sum));
+      Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (prom_float s.Metrics.sum));
       Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n s.Metrics.count))
     (Metrics.histograms ());
   Buffer.contents buf

@@ -45,10 +45,6 @@ module Clock : sig
       obtained from {!now_ms}. *)
 end
 
-val since_epoch_ms : unit -> float
-(** Milliseconds since the current trace epoch (process start or the
-    last {!reset}) — the timebase of {!span.st0_ms}. *)
-
 (** {1 Spans and events} *)
 
 type span = {

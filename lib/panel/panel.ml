@@ -305,25 +305,25 @@ let close t id =
    every op (it is cheap: one record per user action) and a crashed
    session can be rebuilt against a reconnected target by replaying. *)
 
-let op_to_json = function
-  | Jopen { program } ->
-      Printf.sprintf "{\"op\":\"open\",\"program\":\"%s\"}" (Vgraph.json_escape program)
-  | Jsplit { dir; at; program } ->
-      Printf.sprintf "{\"op\":\"split\",\"dir\":\"%s\",\"at\":%d,\"program\":\"%s\"}"
-        (match dir with `Horizontal -> "h" | `Vertical -> "v")
-        at (Vgraph.json_escape program)
-  | Jselect { from_; picked } ->
-      Printf.sprintf "{\"op\":\"select\",\"from\":%d,\"picked\":[%s]}" from_
-        (String.concat "," (List.map string_of_int picked))
-  | Jrefine { at; viewql } ->
-      Printf.sprintf "{\"op\":\"refine\",\"at\":%d,\"viewql\":\"%s\"}" at
-        (Vgraph.json_escape viewql)
-  | Jclose { id } -> Printf.sprintf "{\"op\":\"close\",\"id\":%d}" id
-  | Jreserve { n } -> Printf.sprintf "{\"op\":\"reserve\",\"n\":%d}" n
+let op_to_json op =
+  let kvs =
+    match op with
+    | Jopen { program } -> [ ("op", Json.String "open"); ("program", Json.String program) ]
+    | Jsplit { dir; at; program } ->
+        [ ("op", Json.String "split");
+          ("dir", Json.String (match dir with `Horizontal -> "h" | `Vertical -> "v"));
+          ("at", Json.Int at); ("program", Json.String program) ]
+    | Jselect { from_; picked } ->
+        [ ("op", Json.String "select"); ("from", Json.Int from_);
+          ("picked", Json.List (List.map (fun b -> Json.Int b) picked)) ]
+    | Jrefine { at; viewql } ->
+        [ ("op", Json.String "refine"); ("at", Json.Int at); ("viewql", Json.String viewql) ]
+    | Jclose { id } -> [ ("op", Json.String "close"); ("id", Json.Int id) ]
+    | Jreserve { n } -> [ ("op", Json.String "reserve"); ("n", Json.Int n) ]
+  in
+  Json.Obj kvs
 
-let journal_to_json t =
-  Printf.sprintf "{\"journal\":[%s]}"
-    (String.concat "," (List.map op_to_json (journal t)))
+let journal_to_json t = Json.Obj [ ("journal", Json.List (List.map op_to_json (journal t))) ]
 
 let op_of_json o =
   let str k = Option.map Json.to_str (Json.member k o) in

@@ -105,13 +105,13 @@ val set_op_hook : t -> (op -> unit) option -> unit
     its durable WAL.  Replay ({!recover}) builds a fresh panel with no
     hook, so recovered ops are never re-journaled. *)
 
-val journal_to_json : t -> string
+val journal_to_json : t -> Json.t
 
 val journal_of_json : Json.t -> op list
 (** Inverse of {!journal_to_json} on a parsed value; unknown or
     incomplete ops are dropped. *)
 
-val op_to_json : op -> string
+val op_to_json : op -> Json.t
 
 val op_of_json : Json.t -> op option
 (** Inverse of {!op_to_json} on a parsed value; [None] for an unknown

@@ -164,6 +164,14 @@ let ascii ?roots ?(stale = false) ?transport g =
                     rows))));
   Buffer.contents buf
 
+let canonical g =
+  let g = Vgraph.renumber g in
+  Vgraph.set_title g "identity";
+  ascii g
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> not (String.starts_with ~prefix:"[obs:" l))
+  |> String.concat "\n"
+
 (* ------------------------------------------------------------------ *)
 (* Graphviz DOT *)
 

@@ -30,6 +30,11 @@ val ascii :
     crash and awaits re-extraction); [transport] appends the link's
     health line (retries, breaker state, budget spent). *)
 
+val canonical : Vgraph.t -> string
+(** {!ascii} of the {!Vgraph.renumber}ed graph, titled ["identity"],
+    without the wall-clock [[obs: ...]] footer: a warm refresh and a
+    cold plot of one kernel state render the same text. *)
+
 val transport_line : Transport.t -> string
 (** The transport-health summary appended by {!ascii}. *)
 

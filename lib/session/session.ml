@@ -186,29 +186,33 @@ let reads_used srv sid =
 (* Durable WAL journaling.
 
    When a Durable store is attached, every fleet lifecycle event
-   (open/close/budget/quarantine) and every checkpointed panel op is
+   (open/close/config/quarantine) and every checkpointed panel op is
    appended as a typed record; past [wal_limit] tail records the stream
    compacts into a snapshot segment (a save_fleet image — its journals
    already Jreserve-compacted by the panel layer) plus a fresh tail.
    Recovery (recover_durable, further down) fsck's the image and
    replays per-session op chains. *)
 
+(* [f] of member [k] of [j], or [d] when [j] has no such member. *)
+let field j k f d = Option.fold ~none:d ~some:f (Json.member k j)
+
 let faults_json (f : Transport.faults) =
-  Printf.sprintf "{\"stall\":%g,\"drop\":%g,\"disconnect\":%g}" f.Transport.stall_rate
-    f.Transport.drop_rate f.Transport.disconnect_rate
+  Json.Obj
+    [ ("stall", Json.Float f.Transport.stall_rate); ("drop", Json.Float f.Transport.drop_rate);
+      ("disconnect", Json.Float f.Transport.disconnect_rate) ]
 
 let budget_json b =
-  let opt_i = function None -> "null" | Some n -> string_of_int n in
-  let opt_f = function None -> "null" | Some x -> Printf.sprintf "%g" x in
-  Printf.sprintf "{\"max_reads\":%s,\"max_sim_ms\":%s,\"plot_deadline_ms\":%s,\"retry_burst\":%s}"
-    (opt_i b.max_reads) (opt_f b.max_sim_ms) (opt_f b.plot_deadline_ms)
-    (opt_i b.retry_burst)
+  let opt f = Option.fold ~none:Json.Null ~some:f in
+  let int n = Json.Int n and float x = Json.Float x in
+  Json.Obj
+    [ ("max_reads", opt int b.max_reads); ("max_sim_ms", opt float b.max_sim_ms);
+      ("plot_deadline_ms", opt float b.plot_deadline_ms); ("retry_burst", opt int b.retry_burst) ]
 
 (* Record kinds.  The payloads are JSON; the framing/checksums live in
    {!Durable}, which treats both kind and payload as opaque. *)
 let k_open = 1
 let k_close = 2
-let k_budget = 3
+let k_config = 3
 let k_quarantine = 4
 let k_op = 5
 let k_snapshot = 6
@@ -216,23 +220,29 @@ let k_snapshot = 6
 let wal_append srv ~kind payload =
   match srv.wal with
   | None -> ()
-  | Some d -> ignore (Durable.append d ~kind ~payload)
+  | Some d -> ignore (Durable.append d ~kind ~payload:(Json.to_string payload))
 
-(* The snapshot payload: every open session's name, target, budget,
-   fault config, opno and full op journal.  Recovery reads it back in
-   plan_image, below. *)
+(* One session entry: the k_open payload, and with [~snapshot] an entry
+   of the snapshot payload, which adds the opno and the full op
+   journal.  Recovery reads both back in fleet_entry_of_json. *)
+let entry_json ~snapshot sess =
+  let only_snapshot kvs = if snapshot then kvs else [] in
+  Json.Obj
+    ([ ("sid", Json.Int sess.sid); ("name", Json.String sess.name);
+       ("target", Json.String sess.shared.tname); ("weight", Json.Int sess.weight) ]
+    @ only_snapshot [ ("opno", Json.Int sess.opno) ]
+    @ [ ("budget", budget_json sess.sbudget); ("faults", faults_json sess.sfaults) ]
+    @ only_snapshot [ ("jn", Panel.journal_to_json sess.vis.Visualinux.panel) ])
+
+(* The snapshot payload: every open session's entry. *)
 let save_fleet srv =
-  let one sid =
-    let sess = Hashtbl.find srv.sessions sid in
-    Printf.sprintf
-      "{\"sid\":%d,\"name\":\"%s\",\"target\":\"%s\",\"weight\":%d,\"opno\":%d,\"budget\":%s,\"faults\":%s,\"jn\":%s}"
-      sid (Vgraph.json_escape sess.name)
-      (Vgraph.json_escape sess.shared.tname)
-      sess.weight sess.opno (budget_json sess.sbudget) (faults_json sess.sfaults)
-      (Panel.journal_to_json sess.vis.Visualinux.panel)
-  in
-  Printf.sprintf "{\"fleet\":[%s]}"
-    (String.concat "," (List.map one (session_ids srv)))
+  Json.to_string
+    (Json.Obj
+       [ ( "fleet",
+           Json.List
+             (List.map
+                (fun sid -> entry_json ~snapshot:true (Hashtbl.find srv.sessions sid))
+                (session_ids srv)) ) ])
 
 let wal_snapshot srv =
   match srv.wal with
@@ -259,15 +269,17 @@ let arm_wal_hook srv sess =
          (fun op ->
            sess.opno <- sess.opno + 1;
            wal_append srv ~kind:k_op
-             (Printf.sprintf "{\"sid\":%d,\"opno\":%d,\"op\":%s}" sess.sid sess.opno
-                (Panel.op_to_json op));
+             (Json.Obj
+                [ ("sid", Json.Int sess.sid); ("opno", Json.Int sess.opno);
+                  ("op", Panel.op_to_json op) ]);
            maybe_snapshot srv))
 
-let wal_open_payload sess =
-  Printf.sprintf "{\"sid\":%d,\"name\":\"%s\",\"target\":\"%s\",\"weight\":%d,\"budget\":%s,\"faults\":%s}"
-    sess.sid (Vgraph.json_escape sess.name)
-    (Vgraph.json_escape sess.shared.tname)
-    sess.weight (budget_json sess.sbudget) (faults_json sess.sfaults)
+(* A session's config after a change: budget, weight and fault rates. *)
+let wal_config srv sess =
+  wal_append srv ~kind:k_config
+    (Json.Obj
+       [ ("sid", Json.Int sess.sid); ("budget", budget_json sess.sbudget);
+         ("weight", Json.Int sess.weight); ("faults", faults_json sess.sfaults) ])
 
 let attach_wal srv d =
   srv.wal <- Some d;
@@ -287,7 +299,7 @@ let corrupt_wal srv =
          chain and the salvage is typed.  Corrupting a session's final
          op is indistinguishable from a (legitimately lossy) torn tail. *)
       let sid_of payload =
-        try Scanf.sscanf payload "{\"sid\":%d" (fun s -> s) with _ -> -1
+        try field (Json.parse payload) "sid" Json.to_int (-1) with Json.Parse_error _ -> -1
       in
       let ops =
         List.filter_map
@@ -327,8 +339,7 @@ let apply srv sh (st, effects) =
           sh.qspan <- Obs.Trace.current_span ();
           obs_state sh "quarantine.enter";
           wal_append srv ~kind:k_quarantine
-            (Printf.sprintf "{\"target\":\"%s\",\"prober\":%d}" (Vgraph.json_escape sh.tname)
-               prober);
+            (Json.Obj [ ("target", Json.String sh.tname); ("prober", Json.Int prober) ]);
           Hashtbl.iter
             (fun sid s ->
               if List.mem sid stale then begin
@@ -372,7 +383,7 @@ let open_session ?(budget = unlimited) ?(faults = Transport.no_faults) ?(weight 
         ~attrs:[ ("sid", string_of_int sess.sid); ("name", name); ("target", target) ]
         "session.open";
     if srv.wal <> None then begin
-      wal_append srv ~kind:k_open (wal_open_payload sess);
+      wal_append srv ~kind:k_open (entry_json ~snapshot:false sess);
       arm_wal_hook srv sess
     end;
     Admitted sess.sid
@@ -382,7 +393,7 @@ let close_session srv sid =
   match Hashtbl.find_opt srv.sessions sid with
   | None -> ()
   | Some sess ->
-      wal_append srv ~kind:k_close (Printf.sprintf "{\"sid\":%d}" sid);
+      wal_append srv ~kind:k_close (Json.Obj [ ("sid", Json.Int sid) ]);
       Panel.set_op_hook sess.vis.Visualinux.panel None;
       Hashtbl.remove srv.sessions sid;
       sessions_gauge srv;
@@ -399,18 +410,25 @@ let set_budget srv sid b =
     (fun s ->
       s.sbudget <- b;
       s.rb_tokens <- Option.value ~default:0 b.retry_burst;
-      wal_append srv ~kind:k_budget
-        (Printf.sprintf "{\"sid\":%d,\"budget\":%s}" sid (budget_json b)))
+      wal_config srv s)
     (Hashtbl.find_opt srv.sessions sid)
 
 let budget_of srv sid =
   Option.map (fun s -> s.sbudget) (Hashtbl.find_opt srv.sessions sid)
 
 let set_faults srv sid f =
-  Option.iter (fun s -> s.sfaults <- f) (Hashtbl.find_opt srv.sessions sid)
+  Option.iter
+    (fun s ->
+      s.sfaults <- f;
+      wal_config srv s)
+    (Hashtbl.find_opt srv.sessions sid)
 
 let set_weight srv sid w =
-  Option.iter (fun s -> s.weight <- max 1 w) (Hashtbl.find_opt srv.sessions sid)
+  Option.iter
+    (fun s ->
+      s.weight <- max 1 w;
+      wal_config srv s)
+    (Hashtbl.find_opt srv.sessions sid)
 
 let weight_of srv sid =
   match Hashtbl.find_opt srv.sessions sid with None -> 1 | Some s -> s.weight
@@ -779,21 +797,14 @@ let refresh_stale srv sid =
   admit srv sid "refreshes" (fun sess -> Visualinux.refresh_stale sess.vis)
 
 let budget_of_json j =
-  let f k = match Json.member k j with Some (Json.Float x) -> Some x
-    | Some (Json.Int n) -> Some (float_of_int n) | _ -> None in
-  let i k = match Json.member k j with Some (Json.Int n) -> Some n | _ -> None in
-  { max_reads = i "max_reads"; max_sim_ms = f "max_sim_ms";
-    plot_deadline_ms = f "plot_deadline_ms"; retry_burst = i "retry_burst" }
+  let opt f k = match Json.member k j with None | Some Json.Null -> None | Some v -> Some (f v) in
+  { max_reads = opt Json.to_int "max_reads"; max_sim_ms = opt Json.to_float "max_sim_ms";
+    plot_deadline_ms = opt Json.to_float "plot_deadline_ms";
+    retry_burst = opt Json.to_int "retry_burst" }
 
 let faults_of_json j =
-  let f k d =
-    match Json.member k j with
-    | Some (Json.Float x) -> x
-    | Some (Json.Int n) -> float_of_int n
-    | _ -> d
-  in
-  { Transport.stall_rate = f "stall" 0.; drop_rate = f "drop" 0.;
-    disconnect_rate = f "disconnect" 0. }
+  let f k = field j k Json.to_float 0. in
+  { Transport.stall_rate = f "stall"; drop_rate = f "drop"; disconnect_rate = f "disconnect" }
 
 (* One saved session, as parsed from a save_fleet snapshot entry or a
    WAL k_open payload (which just lacks "opno" and "jn"). *)
@@ -809,21 +820,12 @@ type fleet_entry = {
 }
 
 let fleet_entry_of_json e =
-  let str k = Option.map Json.to_str (Json.member k e) in
-  let int k d = match Json.member k e with Some (Json.Int n) -> n | _ -> d in
-  let ops = Option.fold ~none:[] ~some:Panel.journal_of_json (Json.member "jn" e) in
-  { fe_sid = int "sid" 0;
-    fe_name = Option.value ~default:"?" (str "name");
-    fe_target = Option.value ~default:default_target (str "target");
-    fe_weight = int "weight" 1;
-    fe_budget =
-      (match Json.member "budget" e with Some b -> budget_of_json b | None -> unlimited);
-    fe_faults =
-      (match Json.member "faults" e with
-      | Some f -> faults_of_json f
-      | None -> Transport.no_faults);
-    fe_ops = ops;
-    fe_opno = int "opno" (List.length ops) }
+  let ops = field e "jn" Panel.journal_of_json [] in
+  { fe_sid = field e "sid" Json.to_int 0; fe_name = field e "name" Json.to_str "?";
+    fe_target = field e "target" Json.to_str default_target;
+    fe_weight = field e "weight" Json.to_int 1; fe_budget = field e "budget" budget_of_json unlimited;
+    fe_faults = field e "faults" faults_of_json Transport.no_faults; fe_ops = ops;
+    fe_opno = field e "opno" Json.to_int (List.length ops) }
 
 (* ------------------------------------------------------------------ *)
 (* Durable recovery: fsck the image, then replay per-session op chains.
@@ -875,13 +877,13 @@ let plan_image image =
        | _ -> ()
      with _ -> ());
   (* tail events *)
-  let sid_of j = match Json.member "sid" j with Some (Json.Int s) -> Some s | _ -> None in
+  let sid_of j = Option.map Json.to_int (Json.member "sid" j) in
   let apply_op payload =
     let j = Json.parse payload in
     match sid_of j with
     | None -> ()
     | Some sid -> (
-        let opno = match Json.member "opno" j with Some (Json.Int n) -> n | _ -> 0 in
+        let opno = field j "opno" Json.to_int 0 in
         let op = Option.bind (Json.member "op" j) Panel.op_of_json in
         let e = match Hashtbl.find_opt entries sid with Some e -> e | None -> ghost sid in
         if e.e_ghost then (
@@ -910,14 +912,19 @@ let plan_image image =
             match sid_of (Json.parse r.Durable.rpayload) with
             | Some sid -> Hashtbl.remove entries sid
             | None -> ())
-          else if r.Durable.rkind = k_budget then (
+          else if r.Durable.rkind = k_config then (
+            (* field by field: a budget-only record (the older form)
+               leaves weight and faults as they were *)
             let j = Json.parse r.Durable.rpayload in
-            match (sid_of j, Json.member "budget" j) with
-            | Some sid, Some b ->
-                Option.iter
-                  (fun e -> e.e_cfg <- { e.e_cfg with fe_budget = budget_of_json b })
-                  (Hashtbl.find_opt entries sid)
-            | _ -> ())
+            Option.iter
+              (fun e ->
+                let c = e.e_cfg in
+                e.e_cfg <-
+                  { c with
+                    fe_budget = field j "budget" budget_of_json c.fe_budget;
+                    fe_weight = field j "weight" Json.to_int c.fe_weight;
+                    fe_faults = field j "faults" faults_of_json c.fe_faults })
+              (Option.bind (sid_of j) (Hashtbl.find_opt entries)))
           else if r.Durable.rkind = k_op then apply_op r.Durable.rpayload
           (* k_quarantine and unknown kinds are informational *)
         with _ -> ())
@@ -1047,74 +1054,6 @@ let recovery_to_string r =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Status *)
-
-let status srv =
-  let b = Buffer.create 256 in
-  Printf.bprintf b "server: %d/%d sessions, %d target%s\n"
-    (Hashtbl.length srv.sessions) srv.cap
-    (List.length srv.torder)
-    (if List.length srv.torder = 1 then "" else "s");
-  List.iter
-    (fun tname ->
-      let sh = shared_of srv tname in
-      let link =
-        match Target.transport sh.target with
-        | None -> "local"
-        | Some tr ->
-            Printf.sprintf "%s %s, breaker %s"
-              (Transport.profile_of tr).Transport.pname
-              (match Transport.link tr with Transport.Up -> "up" | Transport.Down -> "down")
-              (match Transport.breaker tr with
-              | Transport.Closed -> "closed"
-              | Transport.Open -> "open"
-              | Transport.Half_open -> "half-open")
-      in
-      let state =
-        match sh.health.Health.mode with
-        | Health.Healthy -> "healthy"
-        | Health.Degraded _ -> "DEGRADED (shedding/hedging)"
-        | Health.Quarantine q -> Printf.sprintf "QUARANTINE (session %d probing)" q.prober
-        | Health.Probation p ->
-            Printf.sprintf "probation (waiting: %s)"
-              (String.concat "," (List.map string_of_int p.waiting))
-      in
-      let ewma_s =
-        match Target.transport sh.target with
-        | None -> ""
-        | Some tr ->
-            let e = Transport.ewma tr in
-            Printf.sprintf " | ewma fault %.3f, lat %.2f ms" e.Transport.ew_fault_rate
-              e.Transport.ew_latency_ms
-      in
-      let cs = Target.cache_stats sh.target in
-      Printf.bprintf b "target %-8s [%s] %s | cache %d hit / %d miss%s\n" tname link state
-        cs.Target.hits cs.Target.misses ewma_s)
-    srv.torder;
-  List.iter
-    (fun sid ->
-      let sess = Hashtbl.find srv.sessions sid in
-      let budget_s =
-        match (sess.sbudget.max_reads, sess.sbudget.max_sim_ms) with
-        | None, None -> "unlimited"
-        | r, m ->
-            String.concat ", "
-              (List.filter_map Fun.id
-                 [ Option.map (fun l -> Printf.sprintf "%d/%d reads" sess.sreads l) r;
-                   Option.map (fun l -> Printf.sprintf "%.1f/%.1f ms" sess.ssim_ms l) m ])
-      in
-      Printf.bprintf b
-        "session %d %-10s on %s w%d | %d plots, %d faults, %d rejections | budget %s\n" sid
-        (Printf.sprintf "%S" sess.name)
-        sess.shared.tname sess.weight
-        (Option.value ~default:0 (Hashtbl.find_opt sess.tab "plots"))
-        (Option.value ~default:0 (Hashtbl.find_opt sess.tab "faults"))
-        (Option.value ~default:0 (Hashtbl.find_opt sess.tab "rejections"))
-        budget_s)
-    (session_ids srv);
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
 (* SLOs + the vtop dashboard *)
 
 (* The fleet's declarative objectives, one set per live session plus
@@ -1193,8 +1132,8 @@ let vtop ?(top = 5) srv =
   else Buffer.add_string b " | observability OFF (vctrl obs on)";
   Buffer.add_char b '\n';
   (* --- targets --- *)
-  Printf.bprintf b "%-8s %-10s %-7s %-7s %-9s %s\n" "TARGET" "STATE" "FAULT"
-    "LAT_MS" "WIRE" "CACHE";
+  Printf.bprintf b "%-8s %-10s %-7s %-7s %-11s %-7s %s\n" "TARGET" "STATE" "FAULT"
+    "LAT_MS" "LINK" "WIRE" "CACHE";
   List.iter
     (fun tname ->
       let sh = shared_of srv tname in
@@ -1205,13 +1144,14 @@ let vtop ?(top = 5) srv =
         | Health.Quarantine q -> Printf.sprintf "QUAR(p%d)" q.prober
         | Health.Probation p -> Printf.sprintf "prob(%d)" (List.length p.waiting)
       in
-      let fault, lat, wire =
+      let fault, lat, link, wire =
         match Target.transport sh.target with
-        | None -> ("-", "-", "local")
+        | None -> ("-", "-", "local", "-")
         | Some tr ->
             let e = Transport.ewma tr in
             ( Printf.sprintf "%.3f" e.Transport.ew_fault_rate,
               Printf.sprintf "%.2f" e.Transport.ew_latency_ms,
+              (Transport.profile_of tr).Transport.pname,
               Printf.sprintf "%s/%s"
                 (match Transport.link tr with Transport.Up -> "up" | Transport.Down -> "down")
                 (match Transport.breaker tr with
@@ -1221,8 +1161,8 @@ let vtop ?(top = 5) srv =
       in
       let cs = Target.cache_stats sh.target in
       let tot = cs.Target.hits + cs.Target.misses in
-      Printf.bprintf b "%-8s %-10s %-7s %-7s %-9s %d/%d hit%s\n" tname state fault
-        lat wire cs.Target.hits tot
+      Printf.bprintf b "%-8s %-10s %-7s %-7s %-11s %-7s %d/%d hit%s\n" tname state fault
+        lat link wire cs.Target.hits tot
         (if tot = 0 then "" else Printf.sprintf " (%.0f%%)" (100. *. float_of_int cs.Target.hits /. float_of_int tot)))
     srv.torder;
   (* --- last durable recovery, if any --- *)
@@ -1239,8 +1179,8 @@ let vtop ?(top = 5) srv =
         r.rreport.Durable.torn_bytes r.rms);
   (* --- sessions --- *)
   let slo_rows = Obs.Slo.status () in
-  Printf.bprintf b "%-4s %-10s %-6s %-2s %-6s %-6s %-5s %-12s %-6s %s\n" "SID"
-    "NAME" "TGT" "W" "OPS" "FAULTS" "RTOK" "BUDGET" "HIT%" "SLO";
+  Printf.bprintf b "%-4s %-10s %-6s %-2s %-6s %-6s %-5s %-5s %-12s %-6s %s\n" "SID"
+    "NAME" "TGT" "W" "OPS" "FAULTS" "REJ" "RTOK" "BUDGET" "HIT%" "SLO";
   List.iter
     (fun sid ->
       let sess = Hashtbl.find srv.sessions sid in
@@ -1261,8 +1201,8 @@ let vtop ?(top = 5) srv =
         if slo_rows = [] then "-"
         else Printf.sprintf "%.2fx %s" burn (if sev = "ok" then "" else String.uppercase_ascii sev)
       in
-      Printf.bprintf b "%-4d %-10s %-6s %-2d %-6d %-6d %-5d %-12s %-6s %s\n" sid
-        sess.name sess.shared.tname sess.weight (c "ops") (c "faults")
+      Printf.bprintf b "%-4d %-10s %-6s %-2d %-6d %-6d %-5d %-5d %-12s %-6s %s\n" sid
+        sess.name sess.shared.tname sess.weight (c "ops") (c "faults") (c "rejections")
         sess.rb_tokens budget_s hitp (String.trim slo_s))
     (session_ids srv);
   (* --- SLO table + slowest traces (observability on only) --- *)

@@ -299,10 +299,6 @@ val salvage_label : salvage -> string
 val recovery_to_string : recovery -> string
 val last_recovery : server -> recovery option
 
-val status : server -> string
-(** Human-readable multi-line server summary (targets, health,
-    sessions, budgets) for the repl. *)
-
 (* ------------------------------------------------------------------ *)
 (** {1 SLOs and the vtop dashboard} *)
 
@@ -318,9 +314,10 @@ val register_slos : server -> unit
 
 val vtop : ?top:int -> server -> string
 (** One render of the live fleet dashboard: a header with obs ring
-    pressure, a per-target table (state, fault/latency EWMAs, wire and
-    cache), a per-session table (ops, faults, retry tokens, budget
-    spend, cache hit rate, worst SLO burn), the {!Obs.Slo.report}
+    pressure, a per-target table (state, fault/latency EWMAs, link
+    profile, wire and cache), a per-session table (ops, faults,
+    rejections, retry tokens, budget spend, cache hit rate, worst SLO
+    burn), the {!Obs.Slo.report}
     table, and the [top] (default 5) slowest [session.op] traces still
     in the ring with their causal links (hedge/canary/retry/probation).
     Ticks one SLO evaluation epoch ({!Obs.Slo.tick}) per call — vtop

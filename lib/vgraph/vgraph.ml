@@ -325,56 +325,37 @@ let visible g =
   Hashtbl.fold (fun id () acc -> id :: acc) seen [] |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* JSON serialization (for pane persistence and the front-end protocol) *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let fval_to_json = function
-  | Fint n -> string_of_int n
-  | Faddr a -> Printf.sprintf "\"0x%x\"" a
-  | Fbool b -> string_of_bool b
-  | Fstr s -> Printf.sprintf "\"%s\"" (json_escape s)
-
-let item_to_json = function
-  | Text { label; value; raw } ->
-      Printf.sprintf "{\"kind\":\"text\",\"label\":\"%s\",\"value\":\"%s\",\"raw\":%s}"
-        (json_escape label) (json_escape value) (fval_to_json raw)
-  | Link { label; target } ->
-      Printf.sprintf "{\"kind\":\"link\",\"label\":\"%s\",\"target\":%s}" (json_escape label)
-        (match target with Some t -> string_of_int t | None -> "null")
-  | Inline { label; target } ->
-      Printf.sprintf "{\"kind\":\"inline\",\"label\":\"%s\",\"target\":%d}" (json_escape label)
-        target
-
-let box_to_json b =
-  let views =
-    List.map
-      (fun (vn, items) ->
-        Printf.sprintf "\"%s\":[%s]" (json_escape vn)
-          (String.concat "," (List.map item_to_json items)))
-      b.views
-  in
-  Printf.sprintf
-    "{\"id\":%d,\"type\":\"%s\",\"def\":\"%s\",\"addr\":\"0x%x\",\"container\":%b,\"members\":[%s],\"attrs\":{\"view\":\"%s\",\"trimmed\":%b,\"collapsed\":%b,\"direction\":\"%s\"},\"views\":{%s}}"
-    b.id (json_escape b.btype) (json_escape b.bdef) b.addr b.container
-    (String.concat "," (List.map string_of_int b.members))
-    (json_escape b.attrs.view) b.attrs.trimmed b.attrs.collapsed
-    (match b.attrs.direction with Horizontal -> "horizontal" | Vertical -> "vertical")
-    (String.concat "," views)
+(* JSON serialization (the front-end protocol) *)
 
 let to_json g =
-  Printf.sprintf "{\"title\":\"%s\",\"roots\":[%s],\"boxes\":[%s]}" (json_escape g.title)
-    (String.concat "," (List.map string_of_int g.roots))
-    (String.concat "," (List.map box_to_json (boxes g)))
+  let open Json in
+  let label kind l = [ ("kind", String kind); ("label", String l) ] in
+  let item = function
+    | Text { label = l; value; raw } ->
+        let raw =
+          match raw with
+          | Fint n -> Int n
+          | Faddr a -> String (Printf.sprintf "0x%x" a)
+          | Fbool b -> Bool b
+          | Fstr s -> String s
+        in
+        Obj (label "text" l @ [ ("value", String value); ("raw", raw) ])
+    | Link { label = l; target } ->
+        Obj (label "link" l @ [ ("target", Option.fold ~none:Null ~some:(fun t -> Int t) target) ])
+    | Inline { label = l; target } -> Obj (label "inline" l @ [ ("target", Int target) ])
+  in
+  let ints l = List (List.map (fun n -> Int n) l) in
+  let box b =
+    let a = b.attrs in
+    Obj
+      [ ("id", Int b.id); ("type", String b.btype); ("def", String b.bdef);
+        ("addr", String (Printf.sprintf "0x%x" b.addr)); ("container", Bool b.container);
+        ("members", ints b.members);
+        ( "attrs",
+          Obj
+            [ ("view", String a.view); ("trimmed", Bool a.trimmed); ("collapsed", Bool a.collapsed);
+              ( "direction",
+                String (match a.direction with Horizontal -> "horizontal" | Vertical -> "vertical") ) ] );
+        ("views", Obj (List.map (fun (vn, items) -> (vn, List (List.map item items))) b.views)) ]
+  in
+  Obj [ ("title", String g.title); ("roots", ints g.roots); ("boxes", List (List.map box (boxes g))) ]

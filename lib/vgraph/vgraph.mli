@@ -174,7 +174,5 @@ val renumber : t -> t
     under their old ids — the canonical form the cached-vs-cold
     identity property compares. *)
 
-val json_escape : string -> string
-
-val to_json : t -> string
-(** Serialize the whole graph (the vplot wire format). *)
+val to_json : t -> Json.t
+(** The whole graph as JSON (the vplot wire format). *)

@@ -16,14 +16,6 @@ let session () =
 
 let source fig = (Option.get (Scripts.find fig)).Scripts.source
 
-(* Canonical render: ids renumbered 1..n in preorder from the roots, so
-   an in-place warm refresh (old ids) and a cold plot (fresh ids) of the
-   same state print the same text. *)
-let canonical ?(title = "plot") g =
-  let g' = Vgraph.renumber g in
-  Vgraph.set_title g' title;
-  Render.ascii g'
-
 (* A cold control plot of the same kernel through a fresh target with
    the read cache off: the pre-ISSUE-5 extraction path. *)
 let cold_plot k src =
@@ -129,8 +121,8 @@ let warm_equals_cold =
       match Visualinux.vrefresh s ~pane:pane.Panel.pid with
       | None -> false
       | Some (res, _) ->
-          let warm = canonical res.Viewcl.graph in
-          let cold = canonical (cold_plot k src) in
+          let warm = Render.canonical res.Viewcl.graph in
+          let cold = Render.canonical (cold_plot k src) in
           warm = cold)
 
 let warm_equals_cold_under_injection =
@@ -154,7 +146,7 @@ let warm_equals_cold_under_injection =
         | Some (_, stats) when stats.Visualinux.cache_hits > 0 ->
             (* cross-run reuse must be off while injection is armed *)
             Some "reuse-while-armed"
-        | Some (res, _) -> Some (canonical res.Viewcl.graph)
+        | Some (res, _) -> Some (Render.canonical res.Viewcl.graph)
       in
       Kmem.clear_injection mem;
       Kmem.inject_read_failures mem ~seed 0.05;
@@ -164,7 +156,7 @@ let warm_equals_cold_under_injection =
          the same way (vrefresh catches it and returns None) *)
       let cold =
         match Viewcl.run ~cfg:cold_s.Visualinux.cfg cold_s.Visualinux.target src with
-        | res -> Some (canonical res.Viewcl.graph)
+        | res -> Some (Render.canonical res.Viewcl.graph)
         | exception _ -> None
       in
       Kmem.clear_injection mem;
@@ -261,8 +253,8 @@ let test_failed_run_rolls_back () =
   | None -> Alcotest.fail "vrefresh after a failed run"
   | Some (res, _) ->
       Alcotest.(check string) "warm refresh after a failed run == cold plot"
-        (canonical (cold_plot k src))
-        (canonical res.Viewcl.graph)
+        (Render.canonical (cold_plot k src))
+        (Render.canonical res.Viewcl.graph)
 
 (* A redefined Box changing its C type must not reuse the old box in
    place: btype/size are frozen at allocation and feed renders,

@@ -10,14 +10,6 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let canonical g =
-  let g' = Vgraph.renumber g in
-  Vgraph.set_title g' "identity";
-  Render.ascii g'
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> not (String.length l >= 5 && String.sub l 0 5 = "[obs:"))
-  |> String.concat "\n"
-
 let boot () =
   let k = Kstate.boot () in
   let w = Workload.create k in
@@ -33,7 +25,7 @@ let pane_state vis =
       let p = Panel.pane vis.Visualinux.panel id in
       ( id,
         List.map (fun b -> b.Vgraph.id) (Vgraph.boxes p.Panel.graph),
-        canonical p.Panel.graph ))
+        Render.canonical p.Panel.graph ))
     (Panel.pane_ids vis.Visualinux.panel)
 
 let admitted = function
@@ -341,11 +333,52 @@ let snapshot_corruption_quarantines () =
     rcv.Session.rsessions;
   Alcotest.(check bool) "still one session" true (rcv.Session.rsessions <> [])
 
+(* Every config change is journaled: weight, fault rates and a budget
+   with a fractional wire-time limit come back from the WAL exactly.  A
+   budget-only config record, the older form, still replays and leaves
+   the weight it does not carry alone. *)
+let wal_config_recovery () =
+  let kernel = boot () in
+  let srv = Session.create kernel in
+  Session.attach_wal srv (Durable.create ~seed:13 ());
+  let sid = admitted (Session.open_session srv "cfg") in
+  let budget = { Session.unlimited with Session.max_sim_ms = Some 123.4567891 } in
+  Session.set_weight srv sid 3;
+  Session.set_faults srv sid (Transport.faults_of_rate 0.1);
+  Session.set_budget srv sid budget;
+  let srv' = Session.create kernel in
+  let rcv = Session.recover_durable srv' (Durable.contents (Option.get (Session.wal_of srv))) in
+  let sid' = (List.hd rcv.Session.rsessions).Session.rsid in
+  Alcotest.(check int) "weight" 3 (Session.weight_of srv' sid');
+  Alcotest.(check bool) "budget, max_sim_ms exact" true (Session.budget_of srv' sid' = Some budget);
+  Alcotest.(check string) "whole config, faults included" (Session.fleet_image srv)
+    (Session.fleet_image srv');
+  let old = Durable.create () in
+  List.iter
+    (fun (kind, payload) -> ignore (Durable.append old ~kind ~payload))
+    [ ( 1,
+        {|{"sid":1,"name":"old","target":"t0","weight":2,"budget":{"max_reads":null,"max_sim_ms":null,"plot_deadline_ms":null,"retry_burst":null},"faults":{"stall":0,"drop":0,"disconnect":0}}|}
+      );
+      ( 3,
+        {|{"sid":1,"budget":{"max_reads":7,"max_sim_ms":null,"plot_deadline_ms":null,"retry_burst":null}}|}
+      ) ];
+  let srv'' = Session.create kernel in
+  let rcv = Session.recover_durable srv'' (Durable.contents old) in
+  let sid'' = (List.hd rcv.Session.rsessions).Session.rsid in
+  Alcotest.(check int) "old record: weight kept" 2 (Session.weight_of srv'' sid'');
+  Alcotest.(check bool) "old record: budget replayed" true
+    (Session.budget_of srv'' sid'' = Some { Session.unlimited with Session.max_reads = Some 7 })
+
 (* The WAL is the only on-disk format: a fleet JSON snapshot written
    by an older `server save` is not a record stream, so fsck reports it
    as one torn tail and nothing is replayed. *)
 let fleet_json_is_not_a_wal () =
   let kernel = boot () in
+  (* a string's JSON body, without the quotes *)
+  let esc s =
+    let q = Json.to_string (Json.String s) in
+    String.sub q 1 (String.length q - 2)
+  in
   let json =
     Printf.sprintf
       "{\"fleet\":[{\"sid\":1,\"name\":\"alice\",\"target\":\"t0\",\"weight\":1,\
@@ -354,8 +387,7 @@ let fleet_json_is_not_a_wal () =
        \"faults\":{\"stall\":0,\"drop\":0,\"disconnect\":0},\
        \"jn\":{\"journal\":[{\"op\":\"open\",\"program\":\"%s\"},\
        {\"op\":\"refine\",\"at\":1,\"viewql\":\"%s\"}]}}]}"
-      (Vgraph.json_escape (fig "3-6"))
-      (Vgraph.json_escape ql_collapse)
+      (esc (fig "3-6")) (esc ql_collapse)
   in
   let check_report what (r : Durable.report) =
     Alcotest.(check int) (what ^ ": no record parses") 0 r.Durable.records_ok;
@@ -391,4 +423,6 @@ let suite =
     Alcotest.test_case "an unsalvageable snapshot quarantines, never crashes" `Quick
       snapshot_corruption_quarantines;
     Alcotest.test_case "a fleet JSON snapshot is a torn tail, never replayed" `Quick
-      fleet_json_is_not_a_wal ]
+      fleet_json_is_not_a_wal;
+    Alcotest.test_case "config changes are journaled and replayed exactly" `Quick
+      wal_config_recovery ]

@@ -20,15 +20,6 @@ let admitted = function
   | Session.Rejected { reason } ->
       Alcotest.failf "unexpected rejection: %s" (Session.reason_to_string reason)
 
-(* Graph identity up to box-id renumbering, minus the obs footer. *)
-let canonical g =
-  let g' = Vgraph.renumber g in
-  Vgraph.set_title g' "identity";
-  Render.ascii g'
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> not (String.length l >= 5 && String.sub l 0 5 = "[obs:"))
-  |> String.concat "\n"
-
 (* ------------------------------------------------------------------ *)
 (* The EWMA decay law (pure) *)
 
@@ -472,7 +463,7 @@ let test_hedged_failover_byte_identical () =
   Alcotest.(check bool) "t1 is Degraded, not quarantined" true
     (Session.target_health srv "t1" = `Degraded);
   Alcotest.(check string) "hedged render byte-identical to the healthy solo plot"
-    (canonical solo_res.Viewcl.graph) (canonical hedged.Viewcl.graph);
+    (Render.canonical solo_res.Viewcl.graph) (Render.canonical hedged.Viewcl.graph);
   let snap = Transport.snapshot t1 in
   Alcotest.(check bool) "rerouted before the breaker ever opened" true
     (snap.Transport.breaker_trips = 0 && Transport.breaker t1 = Transport.Closed);

@@ -27,7 +27,9 @@ let test_json_errors () =
     | exception Json.Parse_error _ -> ()
     | _ -> Alcotest.failf "expected parse error for %S" s
   in
-  List.iter fails [ "{"; "[1,"; "\"unterminated"; "{1: 2}"; "truu"; ""; "1 2"; "{\"a\"}" ]
+  List.iter fails
+    [ "{"; "[1,"; "\"unterminated"; "{1: 2}"; "truu"; ""; "1 2"; "{\"a\"}"; "\"\\uzzzz\"";
+      "\"\\u_0_1\"" ]
 
 let test_json_accessors () =
   let j = Json.parse {|{"n": 3, "s": "hi", "l": [1,2], "b": true}|} in
@@ -38,17 +40,20 @@ let test_json_accessors () =
   Alcotest.(check bool) "missing" true (Json.member "zzz" j = None)
 
 (* Property: printer output re-parses to the same value. *)
-let rec gen_json depth =
+let basic_leaf =
   let open QCheck.Gen in
-  if depth = 0 then
-    oneof
-      [ return Json.Null; map (fun b -> Json.Bool b) bool;
-        map (fun n -> Json.Int n) small_signed_int;
-        map (fun s -> Json.String s) (string_size ~gen:printable (int_range 0 10)) ]
+  oneof
+    [ return Json.Null; map (fun b -> Json.Bool b) bool;
+      map (fun n -> Json.Int n) small_signed_int;
+      map (fun s -> Json.String s) (string_size ~gen:printable (int_range 0 10)) ]
+
+let rec gen_json ?(leaf = basic_leaf) depth =
+  let open QCheck.Gen in
+  if depth = 0 then leaf
   else
     frequency
-      [ (3, gen_json 0);
-        (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (gen_json (depth - 1))));
+      [ (3, leaf);
+        (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (gen_json ~leaf (depth - 1))));
         ( 1,
           map
             (fun kvs ->
@@ -56,12 +61,44 @@ let rec gen_json depth =
               let kvs = List.mapi (fun i (k, v) -> (Printf.sprintf "%d_%s" i k, v)) kvs in
               Json.Obj kvs)
             (list_size (int_range 0 4)
-               (pair (string_size ~gen:printable (int_range 0 6)) (gen_json (depth - 1)))) ) ]
+               (pair (string_size ~gen:printable (int_range 0 6)) (gen_json ~leaf (depth - 1)))) ) ]
 
 let prop_json_roundtrip =
   QCheck.Test.make ~name:"json print/parse roundtrip" ~count:200
     (QCheck.make ~print:Json.to_string (gen_json 3))
     (fun j -> Json.parse (Json.to_string j) = j)
+
+(* Every float, finite or not, and every byte of a string survive a
+   print/parse round trip.  JSON has no nan or infinity: they come back
+   as null and as the saturated +-1e308.  Every other float comes back
+   with the same value, though an integral one may come back as an Int. *)
+let rich_leaf =
+  let open QCheck.Gen in
+  oneof
+    [ basic_leaf;
+      map (fun n -> Json.Int n) int;
+      map (fun bits -> Json.Float (Int64.float_of_bits bits)) ui64;
+      map (fun f -> Json.Float f) float;
+      oneofl
+        [ Json.Float Float.nan; Json.Float Float.infinity; Json.Float Float.neg_infinity;
+          Json.Float 0.2; Json.Float 123.4567891; Json.Float (-0.) ];
+      map (fun s -> Json.String s) (string_size ~gen:char (int_range 0 12)) ]
+
+let rec same_json sent got =
+  match (sent, got) with
+  | Json.Float f, Json.Null -> Float.is_nan f
+  | Json.Float f, Json.Float g when Float.abs f = Float.infinity -> g = Float.copy_sign 1e308 f
+  | Json.Int a, Json.Int b -> a = b
+  | Json.Float f, (Json.Int _ | Json.Float _) -> f = Json.to_float got
+  | Json.List a, Json.List b -> List.equal same_json a b
+  | Json.Obj a, Json.Obj b -> List.equal (fun (k, v) (k', v') -> k = k' && same_json v v') a b
+  | _ -> sent = got
+
+let prop_json_roundtrip_floats_and_bytes =
+  QCheck.Test.make ~name:"json round trip: non-finite and lossless floats, control characters"
+    ~count:500
+    (QCheck.make ~print:Json.to_string (gen_json ~leaf:rich_leaf 3))
+    (fun j -> same_json j (Json.parse (Json.to_string j)))
 
 (* The graphs we serialize actually parse. *)
 let test_graph_json_parses () =
@@ -70,7 +107,7 @@ let test_graph_json_parses () =
   Workload.run w;
   let s = Visualinux.attach k in
   let _, res, _ = Visualinux.plot_figure s (Option.get (Scripts.find "7-1")) in
-  let j = Json.parse (Vgraph.to_json res.Viewcl.graph) in
+  let j = Vgraph.to_json res.Viewcl.graph in
   let boxes = Json.to_list (Json.member_exn "boxes" j) in
   Alcotest.(check int) "all boxes serialized" (Vgraph.box_count res.Viewcl.graph)
     (List.length boxes)
@@ -83,6 +120,15 @@ let mk_session () =
   Workload.run w;
   Visualinux.attach k
 
+let requests =
+  [ Protocol.Plot { title = "t"; program = "plot @x" };
+    Protocol.Apply { pane = 3; viewql = "UPDATE a WITH collapsed: true" };
+    Protocol.Split { pane = 1; dir = `Vertical; program = "p" };
+    Protocol.Focus { addr = 0x1234 };
+    Protocol.Close { pane = 2 };
+    Protocol.Chat { pane = 1; text = "collapse all tasks" };
+    Protocol.Get_pane { pane = 7 } ]
+
 let test_request_roundtrip () =
   List.iter
     (fun r ->
@@ -91,13 +137,7 @@ let test_request_roundtrip () =
         (Printf.sprintf "roundtrip %s" encoded)
         true
         (Protocol.decode_request encoded = r))
-    [ Protocol.Plot { title = "t"; program = "plot @x" };
-      Protocol.Apply { pane = 3; viewql = "UPDATE a WITH collapsed: true" };
-      Protocol.Split { pane = 1; dir = `Vertical; program = "p" };
-      Protocol.Focus { addr = 0x1234 };
-      Protocol.Close { pane = 2 };
-      Protocol.Chat { pane = 1; text = "collapse all tasks" };
-      Protocol.Get_pane { pane = 7 } ]
+    requests
 
 let test_dispatch_plot_apply () =
   let s = mk_session () in
@@ -110,7 +150,7 @@ let test_dispatch_plot_apply () =
   | Protocol.Pane_opened { pane; graph } ->
       Alcotest.(check bool) "pane id" true (pane >= 1);
       Alcotest.(check bool) "graph json parses" true
-        (match Json.parse graph with Json.Obj _ -> true | _ -> false);
+        (match graph with Json.Obj _ -> true | _ -> false);
       (* vctrl apply over the wire *)
       let resp2 =
         Protocol.handle s
@@ -131,6 +171,49 @@ let test_dispatch_plot_apply () =
           Alcotest.(check bool) "program synthesized" true (contains viewql "SELECT")
       | _ -> Alcotest.fail "expected Synthesized")
   | _ -> Alcotest.fail "expected Pane_opened")
+
+(* Fuzz: random bytes and byte-mutated valid requests.  The parser
+   raises nothing but Parse_error, and the server answers every input
+   with a response that decodes — an undecodable request is an Error. *)
+let tiny_plot = "define B as Box<task_struct> [ Text pid, comm ]\nplot B(${&init_task})"
+
+let prop_parse_and_handle_total =
+  let plot = Protocol.Plot { title = "t"; program = tiny_plot } in
+  (* one pane open, so the mutated requests for pane 1 reach dispatch *)
+  let s =
+    lazy
+      (let s = mk_session () in
+       ignore (Protocol.handle s (Protocol.encode_request plot));
+       s)
+  in
+  let valid =
+    List.map Protocol.encode_request
+      (plot
+      :: Protocol.Apply { pane = 1; viewql = "a = SELECT task_struct FROM *\nUPDATE a WITH trimmed: true" }
+      :: Protocol.Get_pane { pane = 1 } :: requests)
+  in
+  let open QCheck.Gen in
+  (* replace, delete or insert one byte *)
+  let edit src =
+    map3
+      (fun pos c op ->
+        let n = String.length src in
+        let i = if n = 0 then 0 else pos mod n in
+        let tail = if op < 2 && n > 0 then i + 1 else i in
+        let ins = if op = 1 && n > 0 then "" else String.make 1 c in
+        String.sub src 0 i ^ ins ^ String.sub src tail (n - tail))
+      nat char (int_bound 2)
+  in
+  let rec edits k src = if k = 0 then return src else edit src >>= edits (k - 1) in
+  let mutated = pair (oneofl valid) (int_range 1 4) >>= fun (src, k) -> edits k src in
+  let json_char = oneof [ char; oneofl (List.of_seq (String.to_seq "{}[]:,\"\\u0aF-.eE ntf")) ] in
+  let bytes = string_size ~gen:json_char (int_range 0 40) in
+  QCheck.Test.make ~name:"fuzz: Json.parse and Protocol.handle are total" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") (oneof [ bytes; mutated ]))
+    (fun input ->
+      (match Json.parse input with _ -> () | exception Json.Parse_error _ -> ());
+      ignore (Protocol.decode_response (Protocol.handle (Lazy.force s) input));
+      true)
 
 let test_dispatch_errors () =
   let s = mk_session () in
@@ -185,9 +268,11 @@ let suite =
     Alcotest.test_case "json parse errors" `Quick test_json_errors;
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip_floats_and_bytes;
     Alcotest.test_case "graph json parses" `Quick test_graph_json_parses;
     Alcotest.test_case "protocol request roundtrip" `Quick test_request_roundtrip;
     Alcotest.test_case "protocol dispatch plot/apply/chat" `Quick test_dispatch_plot_apply;
     Alcotest.test_case "protocol errors" `Quick test_dispatch_errors;
+    QCheck_alcotest.to_alcotest prop_parse_and_handle_total;
     Alcotest.test_case "html renderer" `Quick test_html_renderer;
     Alcotest.test_case "html escaping" `Quick test_html_escaping ]

@@ -272,7 +272,7 @@ let test_disabled_stack_instrumentation_silent () =
 plot B(${&init_task})
 |} in
       Alcotest.(check int) "plot_stats.spans is 0" 0 stats.Visualinux.spans;
-      Alcotest.(check bool) "plot_stats.trace is None" true (stats.Visualinux.trace = None);
+      Alcotest.(check int) "no trace minted" 0 stats.Visualinux.trace_id;
       Alcotest.(check int) "no events leaked" 0 (Obs.event_count ());
       Alcotest.(check int) "no counters leaked" 0 (Obs.Metrics.counter "target.reads"))
 
@@ -288,9 +288,11 @@ let test_enabled_stack_records_spans () =
 plot B(${&init_task})
 |} in
       Alcotest.(check bool) "spans recorded" true (stats.Visualinux.spans > 0);
-      (match stats.Visualinux.trace with
-      | Some (_ :: _) -> ()
-      | Some [] | None -> Alcotest.fail "trace missing");
+      Alcotest.(check bool) "the plot's spans carry its trace id" true
+        (stats.Visualinux.trace_id <> 0
+        && List.exists
+             (fun (sp : Obs.span) -> sp.Obs.strace = stats.Visualinux.trace_id)
+             (Obs.span_events ()));
       Alcotest.(check bool) "obs counts the reads" true (Obs.Metrics.counter "target.reads" > 0);
       Alcotest.(check bool) "viewcl.run span present" true
         (Obs.Profile.find "viewcl.run" <> None);

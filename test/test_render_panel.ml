@@ -68,7 +68,7 @@ let test_dot_and_svg () =
 
 let test_json () =
   let g, root, _, _ = mk_graph () in
-  let json = Vgraph.to_json g in
+  let json = Json.to_string (Vgraph.to_json g) in
   Alcotest.(check bool) "has title" true (contains json "\"render-test\"");
   Alcotest.(check bool) "has root id" true
     (contains json (Printf.sprintf "\"roots\":[%d]" root.Vgraph.id));

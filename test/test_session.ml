@@ -10,15 +10,6 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* Graph identity up to box-id renumbering, minus the obs footer. *)
-let canonical g =
-  let g' = Vgraph.renumber g in
-  Vgraph.set_title g' "identity";
-  Render.ascii g'
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> not (String.length l >= 5 && String.sub l 0 5 = "[obs:"))
-  |> String.concat "\n"
-
 let boot () =
   let k = Kstate.boot () in
   let w = Workload.create k in
@@ -32,7 +23,7 @@ let pane_state vis =
   List.map
     (fun id ->
       let p = Panel.pane vis.Visualinux.panel id in
-      (id, List.map (fun b -> b.Vgraph.id) (Vgraph.boxes p.Panel.graph), canonical p.Panel.graph))
+      (id, List.map (fun b -> b.Vgraph.id) (Vgraph.boxes p.Panel.graph), Render.canonical p.Panel.graph))
     (Panel.pane_ids vis.Visualinux.panel)
 
 let admitted = function
@@ -511,6 +502,68 @@ let test_obs_gauges () =
       Alcotest.(check bool) "per-session counters mirrored into obs" true
         (Obs.Metrics.counter (Printf.sprintf "session.%d.plots" a) = 2))
 
+(* ------------------------------------------------------------------ *)
+(* The fleet dashboard *)
+
+(* vtop (also `server status`) shows every target with its link and
+   health state, a quarantine included, and every session with its op
+   and rejection counts. *)
+let test_vtop_shows_fleet () =
+  let kernel = boot () in
+  let srv = Session.create kernel in
+  let tr = Transport.create ~seed:9 Transport.qemu_local in
+  Session.add_target srv ~transport:tr "wire";
+  let a = admitted (Session.open_session ~target:"wire" srv "alice") in
+  let b = admitted (Session.open_session ~target:"wire" srv "bob") in
+  let c = admitted (Session.open_session srv "carol") in
+  let panes =
+    List.map (fun sid -> (sid, (fun (p, _, _) -> p.Panel.pid) (admitted (Session.vplot srv sid (fig "3-4"))))) [ a; b; c ]
+  in
+  let apply sid =
+    Session.vctrl srv sid (Visualinux.Apply { pane = List.assoc sid panes; viewql = ql_collapse })
+  in
+  (* the link dies; alice's next op lands the target in quarantine, and
+     the session that is not probing is refused *)
+  Transport.disconnect tr;
+  ignore (apply a);
+  let prober =
+    match Session.target_health srv "wire" with
+    | `Quarantine p -> p
+    | _ -> Alcotest.fail "expected the wire target quarantined"
+  in
+  let refused = if prober = a then b else a in
+  (match apply refused with
+  | Session.Rejected _ ->
+      Alcotest.(check int) "the refusal is counted" 1 (Session.counter srv refused "rejections")
+  | Session.Admitted _ -> Alcotest.fail "a non-prober op on a quarantined target must be refused");
+  ignore (admitted (apply c));
+  let rows =
+    List.map
+      (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+      (String.split_on_char '\n' (Session.vtop srv))
+  in
+  let row key = List.find_opt (function k :: _ -> k = key | [] -> false) rows in
+  (match row "wire" with
+  | Some (_ :: state :: _ :: _ :: link :: _) ->
+      Alcotest.(check string) "wire state" (Printf.sprintf "QUAR(p%d)" prober) state;
+      Alcotest.(check string) "wire link profile" "gdb-qemu" link
+  | _ -> Alcotest.fail "no row for target wire");
+  (match row "t0" with
+  | Some (_ :: state :: _ :: _ :: link :: _) ->
+      Alcotest.(check string) "t0 state" "healthy" state;
+      Alcotest.(check string) "t0 link" "local" link
+  | _ -> Alcotest.fail "no row for target t0");
+  List.iter
+    (fun sid ->
+      match row (string_of_int sid) with
+      | Some (_ :: name :: _ :: _ :: ops :: _ :: rej :: _) ->
+          Alcotest.(check (option string)) "name" (Session.session_name srv sid) (Some name);
+          Alcotest.(check string) "ops" (string_of_int (Session.counter srv sid "ops")) ops;
+          Alcotest.(check string) "rejections"
+            (string_of_int (Session.counter srv sid "rejections")) rej
+      | _ -> Alcotest.failf "no row for session %d" sid)
+    [ a; b; c ]
+
 let suite =
   [ QCheck_alcotest.to_alcotest compaction_replay_equivalence;
     Alcotest.test_case "compaction: churn collapses to a reserve" `Quick
@@ -527,4 +580,5 @@ let suite =
     Alcotest.test_case "cross-session cache hits" `Quick test_cross_session_cache_hits;
     Alcotest.test_case "fleet recovery reproduces pane and box ids" `Quick
       test_fleet_recovery;
-    Alcotest.test_case "obs gauges: breaker state, cache hit rate" `Quick test_obs_gauges ]
+    Alcotest.test_case "obs gauges: breaker state, cache hit rate" `Quick test_obs_gauges;
+    Alcotest.test_case "vtop shows every target and session" `Quick test_vtop_shows_fleet ]

@@ -22,15 +22,6 @@ let admitted = function
   | Session.Rejected { reason } ->
       Alcotest.failf "unexpected rejection: %s" (Session.reason_to_string reason)
 
-(* Graph identity up to box-id renumbering, minus the obs footer. *)
-let canonical g =
-  let g' = Vgraph.renumber g in
-  Vgraph.set_title g' "identity";
-  Render.ascii g'
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> not (String.length l >= 5 && String.sub l 0 5 = "[obs:"))
-  |> String.concat "\n"
-
 (* Clean, enabled registry with a ring big enough that no span of the
    scenario is evicted (link reachability needs every endpoint); the
    switch is left off afterwards so no other suite sees stray spans. *)
@@ -273,7 +264,7 @@ let test_disabled_byte_identical_zero_drift () =
         for _ = 1 to 8 do
           let _, ra, _ = admitted (Session.vplot srv a (fig "3-4")) in
           let _, rb, _ = admitted (Session.vplot srv b (fig "3-4")) in
-          out := canonical rb.Viewcl.graph :: canonical ra.Viewcl.graph :: !out
+          out := Render.canonical rb.Viewcl.graph :: Render.canonical ra.Viewcl.graph :: !out
         done;
         let drift =
           ( Obs.spans_total (), Obs.event_count (),

@@ -335,7 +335,7 @@ let test_journal_json_roundtrip () =
   build_multi_pane s;
   Panel.close s.Visualinux.panel 3;
   let ops = Panel.journal s.Visualinux.panel in
-  let ops' = Panel.journal_of_json (Json.parse (Panel.journal_to_json s.Visualinux.panel)) in
+  let ops' = Panel.journal_of_json (Json.parse (Json.to_string (Panel.journal_to_json s.Visualinux.panel))) in
   Alcotest.(check int) "op count survives json" (List.length ops) (List.length ops');
   Alcotest.(check bool) "ops survive json round-trip" true (ops = ops')
 
