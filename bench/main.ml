@@ -428,7 +428,9 @@ let degradation ~rates ~profile ~deadline_ms ~seed =
       let tr =
         Transport.create ~seed ~faults:(Transport.faults_of_rate rate) profile
       in
-      Transport.set_deadline tr deadline_ms;
+      Transport.with_allowance tr
+        { Transport.open_allowance with plot_deadline_ms = deadline_ms }
+      @@ fun () ->
       let s = Visualinux.attach ~transport:tr kernel in
       let plots = ref 0 and failed = ref 0 and boxes = ref 0 and broken = ref 0 in
       let suspects = ref 0 in

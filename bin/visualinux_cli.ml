@@ -317,7 +317,12 @@ let repl_cmd =
           Ok ()
       | "vplot" :: "auto" :: ty :: rest ->
           let expr = String.concat " " rest in
-          let pane, res, _ = Visualinux.vplot_auto s ~typ:ty ~expr in
+          let src =
+            Visualinux.synthesize_viewcl (Target.types s.Visualinux.target) ~typ:ty ~expr
+          in
+          let* pane, res, _ =
+            admit (Session.vplot srv !cur ~title:(Printf.sprintf "auto: %s" ty) src)
+          in
           Printf.printf "pane %d: %d boxes\n" pane.Panel.pid
             (Vgraph.box_count res.Viewcl.graph);
           Ok ()
@@ -326,9 +331,7 @@ let repl_cmd =
           let* pane, _, stats =
             admit (Session.vplot srv !cur ~title:sc.Scripts.fig sc.Scripts.source)
           in
-          (match Visualinux.render_pane s pane.Panel.pid with
-          | Some out -> print_string out
-          | None -> ());
+          Option.iter print_string (Session.render srv !cur pane.Panel.pid);
           Printf.printf "pane %d: %d boxes, %d reads, %d spans, %.1f ms\n" pane.Panel.pid
             stats.Visualinux.boxes stats.Visualinux.reads stats.Visualinux.spans
             stats.Visualinux.wall_ms;
@@ -384,25 +387,34 @@ let repl_cmd =
               Printf.printf "pane %d opened\n" id;
               Ok ()
           | _ -> Error "unexpected vctrl result")
-      | [ "vctrl"; "focus"; addr ] ->
+      | [ "vctrl"; "focus"; addr ] -> (
           let* a = int_of addr "an address" in
-          let hits = Panel.focus s.Visualinux.panel ~addr:a in
-          List.iter (fun (pid, bid) -> Printf.printf "  pane %d: box #%d\n" pid bid) hits;
-          if hits = [] then print_endline "  (not found)";
-          Ok ()
+          let* r = admit (Session.vctrl srv !cur (Visualinux.Focus { addr = a })) in
+          match r with
+          | Visualinux.Found hits ->
+              List.iter (fun (pid, bid) -> Printf.printf "  pane %d: box #%d\n" pid bid) hits;
+              if hits = [] then print_endline "  (not found)";
+              Ok ()
+          | _ -> Error "unexpected vctrl result")
       | [ "vctrl"; "close"; pane ] ->
           let* p = pane_of pane in
           let* _ = admit (Session.vctrl srv !cur (Visualinux.Close { pane = p.Panel.pid })) in
           print_endline "closed";
           Ok ()
-      | "vchat" :: pane :: rest ->
+      | "vchat" :: pane :: rest -> (
           let* p = pane_of pane in
-          let prog, n = Visualinux.vchat s ~pane:p.Panel.pid (String.concat " " rest) in
-          Printf.printf "%s\n%d boxes updated\n" prog n;
-          Ok ()
+          let viewql = Vchat.synthesize (String.concat " " rest) in
+          let* r =
+            admit (Session.vctrl srv !cur (Visualinux.Apply { pane = p.Panel.pid; viewql }))
+          in
+          match r with
+          | Visualinux.Updated n ->
+              Printf.printf "%s\n%d boxes updated\n" viewql n;
+              Ok ()
+          | _ -> Error "unexpected vctrl result")
       | [ "show"; pane ] | [ "show"; pane; "ascii" ] -> (
           let* p = pane_of pane in
-          match Visualinux.render_pane s p.Panel.pid with
+          match Session.render srv !cur p.Panel.pid with
           | Some out ->
               print_string out;
               Ok ()

@@ -364,7 +364,7 @@ let render_pane s id =
 
 let synthesize_viewcl reg ~typ ~expr =
   if not (Ctype.is_defined reg typ) then
-    invalid_arg (Printf.sprintf "vplot_auto: unknown type %S" typ);
+    invalid_arg (Printf.sprintf "vplot auto: unknown type %S" typ);
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "define Auto_%s as Box<%s> [\n" typ typ);
   List.iter
@@ -386,12 +386,6 @@ let synthesize_viewcl reg ~typ ~expr =
   Buffer.add_string buf "]\n";
   Buffer.add_string buf (Printf.sprintf "plot Auto_%s(${%s})\n" typ expr);
   Buffer.contents buf
-
-(** vplot with synthesized ViewCL: plot the struct [typ] object denoted by
-    the C expression [expr], showing all its scalar fields. *)
-let vplot_auto s ~typ ~expr =
-  let src = synthesize_viewcl (Target.types s.target) ~typ ~expr in
-  vplot s ~title:(Printf.sprintf "auto: %s" typ) src
 
 (* ------------------------------------------------------------------ *)
 (* Convenience: run a Table 2 figure end to end. *)

@@ -1,11 +1,11 @@
 (** Multi-session server implementation.  See session.mli for the
     contract; the mechanics in one paragraph: every session op (a) is
     admission-checked against capacity, budgets and the target's
-    quarantine state, (b) swaps the session's fault config, per-plot
-    deadline and a budget gate onto the shared transport, (c) runs the
-    underlying {!Visualinux} command, (d) captures the op's fault,
-    read, cache-stat and wire-time deltas into the session's private
-    accounting, and (e) feeds what the op left on the link to the
+    quarantine state, (b) runs the underlying {!Visualinux} command
+    under the session's {!Transport.allowance} (fault overlay, per-plot
+    deadline, read/wire budget, retry tokens) on the shared transport,
+    (c) captures the op's fault, read, retry, cache-stat and wire-time
+    deltas into the session's private accounting, and (d) feeds what the op left on the link to the
     target's {!Health} machine and carries out the effects it returns. *)
 
 type sid = int
@@ -68,7 +68,7 @@ type sess = {
   name : string;
   vis : Visualinux.session;
   shared : shared;
-  mutable sfaults : Transport.faults;  (* swapped onto the link per op *)
+  mutable sfaults : Transport.faults;  (* the fault overlay of its ops *)
   mutable sbudget : budget;
   mutable weight : int;  (* fair-admission priority weight, >= 1 *)
   mutable rb_tokens : int;  (* retry-budget tokens left (when capped) *)
@@ -485,26 +485,37 @@ let healthy_replica srv sh =
       else None)
     srv.torder
 
+(* What [sess]'s op may spend on the link: its fault overlay, per-plot
+   deadline, what is left of its epoch read and wire budgets, and its
+   retry tokens. *)
+let allowance sess =
+  let b = sess.sbudget in
+  { Transport.faults = sess.sfaults; plot_deadline_ms = b.plot_deadline_ms;
+    max_fetches = Option.map (fun lim -> lim - sess.sreads) b.max_reads;
+    max_wire_ms = Option.map (fun lim -> (sess.ssim_ms, lim)) b.max_sim_ms;
+    retry_tokens = Option.map (fun _ -> sess.rb_tokens) b.retry_burst }
+
+let with_allowance sess tr_opt f =
+  match tr_opt with Some tr -> Transport.with_allowance tr (allowance sess) f | None -> f ()
+
 (* The probe read, charged to the acting session: bring a dead link /
    open breaker back to Half_open first (a refused fetch charges
    nothing, so cooldown alone never elapses), then fire one 8-byte
-   canary under the session's own fault config.  The canary's reads and
-   wire ms land on the session's epoch budget — a Half_open breaker's
-   probe is real traffic, not free — and its outcome feeds the wire's
-   health EWMA, which is what eventually satisfies the quarantine-exit
-   decay gate. *)
+   canary under the session's own fault config and no budget.  The
+   canary's reads and wire ms land on the session's epoch budget — a
+   Half_open breaker's probe is real traffic, not free — and its outcome
+   feeds the wire's health EWMA, which is what eventually satisfies the
+   quarantine-exit decay gate. *)
 let fire_canary sess sh =
   match Target.transport sh.target with
   | None -> ()
   | Some tr ->
       if link_bad tr then Transport.reconnect tr;
-      let saved = Transport.faults_of tr in
       let s0 = Transport.snapshot tr in
-      Transport.set_faults tr sess.sfaults;
-      Transport.set_deadline tr None;
-      Transport.begin_plot tr;
-      ignore (Transport.fetch tr ~bytes:8 (fun () -> ()));
-      Transport.set_faults tr saved;
+      Transport.with_allowance tr { Transport.open_allowance with faults = sess.sfaults }
+        (fun () ->
+          Transport.begin_plot tr;
+          ignore (Transport.fetch tr ~bytes:8 (fun () -> ())));
       let s1 = Transport.snapshot tr in
       let dr = s1.Transport.reads_ok - s0.Transport.reads_ok in
       sess.sreads <- sess.sreads + dr;
@@ -565,13 +576,12 @@ let health_gauges srv sh =
     Obs.Metrics.set_gauge "session.quarantined_targets" (float_of_int n)
   end
 
-(* Swap the session's fault config, deadline, budget gate and retry
-   budget onto the op's transport (the home link, or the healthy replica
-   [hedge]'s), run [f], then capture this op's
-   deltas (faults, reads, wire ms, cache stats) into the session's
-   private accounting — restoring the link's config, and the home
-   transport on a hedged op, on every path {e before} the health update
-   reads the home wire's state. *)
+(* Run [f] under the session's allowance on the op's transport (the
+   home link, or the healthy replica [hedge]'s), then capture this op's
+   deltas (faults, reads, wire ms, retries, cache stats) into the
+   session's private accounting — restoring the home transport on a
+   hedged op, on every path, {e before} the health update reads the
+   home wire's state. *)
 let run_isolated srv ~hedge sess f =
   let sh = sess.shared in
   let tgt = sh.target in
@@ -580,57 +590,17 @@ let run_isolated srv ~hedge sess f =
     (fun rep -> Option.iter (Target.set_transport tgt) (Target.transport rep.target))
     hedge;
   let tr_opt = Target.transport tgt in
-  let saved_faults = Option.map Transport.faults_of tr_opt in
   (* token-bucket refill: one retry token earned per op, up to the cap *)
   (match sess.sbudget.retry_burst with
   | Some cap -> if sess.rb_tokens < cap then sess.rb_tokens <- sess.rb_tokens + 1
   | None -> ());
-  let snap0 =
-    match tr_opt with Some tr -> Some (Transport.snapshot tr) | None -> None
-  in
+  let snap0 = Option.map Transport.snapshot tr_opt in
   let cs0 = Target.cache_stats tgt in
   (* the global fault journal is drained per op (see below), so the op's
      faults are exactly [Target.faults tgt] afterwards *)
   Target.clear_faults tgt;
-  Option.iter
-    (fun tr ->
-      Transport.set_faults tr sess.sfaults;
-      Transport.set_deadline tr sess.sbudget.plot_deadline_ms;
-      Transport.set_retry_gate tr
-        (match sess.sbudget.retry_burst with
-        | None -> None
-        | Some _ ->
-            Some
-              (fun () ->
-                if sess.rb_tokens > 0 then begin
-                  sess.rb_tokens <- sess.rb_tokens - 1;
-                  true
-                end
-                else begin
-                  bump sess "retry.denied";
-                  false
-                end));
-      let op_reads = ref 0 in
-      let sim0 = (Transport.snapshot tr).Transport.sim_ms in
-      Transport.set_gate tr
-        (Some
-           (fun ~bytes:_ ->
-             match sess.sbudget.max_reads with
-             | Some lim when sess.sreads + !op_reads >= lim ->
-                 Some Transport.Deadline_exceeded
-             | _ -> (
-                 match sess.sbudget.max_sim_ms with
-                 | Some lim
-                   when sess.ssim_ms +. ((Transport.snapshot tr).Transport.sim_ms -. sim0)
-                        >= lim ->
-                     Some Transport.Deadline_exceeded
-                 | _ ->
-                     incr op_reads;
-                     None))))
-    tr_opt;
   let t0 = Obs.Clock.now_ms () in
   let finish () =
-    (* accounting first, then restore the link for the next session *)
     let wall = Obs.Clock.elapsed_ms t0 in
     let faults = Target.faults tgt in
     Target.clear_faults tgt;
@@ -647,6 +617,10 @@ let run_isolated srv ~hedge sess f =
           bump ~by:(s1.Transport.reads_ok - s0.Transport.reads_ok) sess "reads";
           bump ~by:(s1.Transport.deadline_hits - s0.Transport.deadline_hits) sess
             "budget.refusals";
+          if sess.sbudget.retry_burst <> None then
+            sess.rb_tokens <- sess.rb_tokens - (s1.Transport.retries - s0.Transport.retries);
+          bump ~by:(s1.Transport.retry_denials - s0.Transport.retry_denials) sess
+            "retry.denied";
           sess.sreads <- sess.sreads + (s1.Transport.reads_ok - s0.Transport.reads_ok);
           let d = s1.Transport.sim_ms -. s0.Transport.sim_ms in
           sess.ssim_ms <- sess.ssim_ms +. d;
@@ -654,12 +628,6 @@ let run_isolated srv ~hedge sess f =
       | _ -> 0.
     in
     if Obs.enabled () then Obs.Metrics.observe (ns sess "op_ms") (wall +. sim_delta);
-    Option.iter
-      (fun tr ->
-        Transport.set_gate tr None;
-        Transport.set_retry_gate tr None;
-        Option.iter (Transport.set_faults tr) saved_faults)
-      tr_opt;
     if Option.is_some hedge then begin
       bump sess "hedged.ops";
       Option.iter (Target.set_transport tgt) home_tr
@@ -683,7 +651,7 @@ let run_isolated srv ~hedge sess f =
               f ())
     | _ -> f
   in
-  match f () with
+  match with_allowance sess tr_opt f with
   | x ->
       finish ();
       x
@@ -781,7 +749,11 @@ let render srv sid pane =
   match Hashtbl.find_opt srv.sessions sid with
   | None -> None
   | Some sess ->
-      let r = Visualinux.render_pane sess.vis pane in
+      (* the pane's link line shows this session's own deadline *)
+      let r =
+        with_allowance sess (Target.transport sess.shared.target) (fun () ->
+            Visualinux.render_pane sess.vis pane)
+      in
       if r <> None then begin
         bump sess "renders";
         match Panel.pane_opt sess.vis.Visualinux.panel pane with
@@ -1129,7 +1101,7 @@ let vtop ?(top = 5) srv =
   if Obs.enabled () then
     Printf.bprintf b " | obs ring %d/%d (%d dropped)" (Obs.event_count ())
       (Obs.ring_capacity ()) (Obs.dropped ())
-  else Buffer.add_string b " | observability OFF (vctrl obs on)";
+  else Buffer.add_string b " | observability OFF (vprof on)";
   Buffer.add_char b '\n';
   (* --- targets --- *)
   Printf.bprintf b "%-8s %-10s %-7s %-7s %-11s %-7s %s\n" "TARGET" "STATE" "FAULT"
@@ -1198,7 +1170,8 @@ let vtop ?(top = 5) srv =
       in
       let burn, sev = slo_worst_for (Printf.sprintf "s%d." sid) slo_rows in
       let slo_s =
-        if slo_rows = [] then "-"
+        (* with observability off no counter feeds the SLOs *)
+        if slo_rows = [] || not (Obs.enabled ()) then "-"
         else Printf.sprintf "%.2fx %s" burn (if sev = "ok" then "" else String.uppercase_ascii sev)
       in
       Printf.bprintf b "%-4d %-10s %-6s %-2d %-6d %-6d %-5d %-5d %-12s %-6s %s\n" sid

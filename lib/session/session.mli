@@ -3,10 +3,11 @@
 
     Sessions are interleaved, not threaded — every v-command runs to
     completion before the next — which makes exact per-session
-    accounting possible: the server swaps each session's transport
-    fault configuration, per-plot deadline and admission gate onto the
-    shared link for the duration of its op, then captures the fault
-    journal, read, cache and wire-time deltas that op produced.  The
+    accounting possible: each op runs under its session's
+    {!Transport.allowance} (fault overlay, per-plot deadline, read/wire
+    budget, retry tokens), in force on the shared link for that op
+    alone, and the server captures the fault journal, read, retry,
+    cache and wire-time deltas that op produced.  The
     result is {e fault isolation}: one session's fault storm, torn-read
     burst or breaker-Open never shows up in another session's rendered
     bytes, per-session counters or recovery state, while the sessions
@@ -172,9 +173,9 @@ val begin_epoch : server -> sid -> unit
 val vplot :
   server -> sid -> ?title:string -> string ->
   (Panel.pane * Viewcl.result * Visualinux.plot_stats) outcome
-(** {!Visualinux.vplot} under the session's fault config, deadline and
-    admission gate.  @raise Viewcl.Error on malformed programs (a
-    program error is the caller's bug, not an admission decision). *)
+(** {!Visualinux.vplot} under the session's allowance.  @raise
+    Viewcl.Error on malformed programs (a program error is the caller's
+    bug, not an admission decision). *)
 
 val vrefresh :
   server -> sid -> pane:Panel.pane_id ->
@@ -185,7 +186,8 @@ val vrefresh :
 val vctrl : server -> sid -> Visualinux.vctrl -> Visualinux.vctrl_result outcome
 
 val render : server -> sid -> Panel.pane_id -> string option
-(** Render a pane from the session's cached graph.  Never [Rejected] —
+(** Render a pane from the session's cached graph; its link line shows
+    the session's own deadline, no other's.  Never [Rejected] —
     serving [STALE] panes without touching the link {e is} the degraded
     mode a quarantined target leaves its other sessions in.  [None] for
     unknown sessions or panes. *)
@@ -321,5 +323,6 @@ val vtop : ?top:int -> server -> string
     table, and the [top] (default 5) slowest [session.op] traces still
     in the ring with their causal links (hedge/canary/retry/probation).
     Ticks one SLO evaluation epoch ({!Obs.Slo.tick}) per call — vtop
-    {e is} the fleet's heartbeat when the repl drives it.  Degrades
-    gracefully to the static tables when observability is off. *)
+    {e is} the fleet's heartbeat when the repl drives it.  With
+    observability off nothing feeds the SLOs: the SLO column prints
+    [-] and the header names [vprof on]. *)

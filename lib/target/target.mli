@@ -49,8 +49,8 @@ type fault =
       (** a container traversal stopped early: cycle detected or a
           node/depth budget exhausted at [at] *)
   | Timed_out of { at : addr; ctx : string }
-      (** the transport refused the read because the per-plot deadline
-          budget was already spent *)
+      (** the transport refused the read because a budget of the op's
+          allowance (deadline, reads, wire ms, retries) was spent *)
   | Link_lost of { at : addr; ctx : string; detail : string }
       (** the transport could not complete the read — breaker open,
           link disconnected, or every retry's reply dropped; [detail]

@@ -8,7 +8,9 @@
      deterministic integer arithmetic seeded at [create]; no
      [Random], no wall clock, so a seeded run replays exactly.
    - The breaker counts *reads*, not attempts: a read that eventually
-     succeeds after two dropped replies resets the failure streak. *)
+     succeeds after two dropped replies resets the failure streak.
+   - Between ops a transport holds only its wire's own weather; what an
+     op may spend is one allowance, in force only inside [with_allowance]. *)
 
 type profile = { pname : string; rtt_ms : float; byte_ms : float }
 
@@ -72,12 +74,28 @@ let error_to_string = function
   | Disconnected -> "disconnected"
   | Retries_exhausted -> "retries-exhausted"
 
+type allowance = {
+  faults : faults;
+  plot_deadline_ms : float option;
+  max_fetches : int option;
+  max_wire_ms : (float * float) option;
+  retry_tokens : int option;
+}
+
+let open_allowance =
+  { faults = no_faults; plot_deadline_ms = None; max_fetches = None; max_wire_ms = None;
+    retry_tokens = None }
+
+(* The allowance in force, the clock and retry count when it was put in
+   force, and the fetches admitted under it. *)
+type scope = { allow : allowance; clock0 : float; retries0 : int; mutable fetched : int }
+
 type t = {
   prof : profile;
   seed : int;
   policy : policy;
-  mutable faults : faults;  (* per-session overlay (swapped per op) *)
   mutable base_faults : faults;  (* the wire's own weather *)
+  mutable scope : scope;  (* the op's allowance, {!open_allowance} between ops *)
   mutable rng : int;
   mutable link : link;
   mutable brk : breaker;
@@ -85,13 +103,6 @@ type t = {
   mutable half_open_at : float;  (* clock time when an Open breaker may probe *)
   mutable clock_ms : float;  (* simulated wire time, whole lifetime *)
   mutable spent_ms : float;  (* simulated wire time, current plot *)
-  mutable deadline_ms : float option;
-  mutable gate : (bytes:int -> error option) option;
-      (* session-server admission hook: consulted (and charged) on every
-         fetch before the wire is touched *)
-  mutable retry_gate : (unit -> bool) option;
-      (* retry-budget hook: consulted before every retry; [false] denies
-         the retry and the read degrades like an exhausted deadline *)
   (* wire-health EWMAs: per-attempt fault rate and latency, moved only
      by wire-attributed outcomes (base faults and clean reads) — a
      session's own overlay faults say nothing about the link *)
@@ -117,10 +128,10 @@ type t = {
 }
 
 let create ?(seed = 0x9e3779b9) ?(policy = default_policy) ?(faults = no_faults) prof =
-  { prof; seed; policy; faults; base_faults = no_faults; rng = seed; link = Up;
-    brk = Closed; consec_failures = 0;
-    half_open_at = 0.; clock_ms = 0.; spent_ms = 0.; deadline_ms = None; gate = None;
-    retry_gate = None; ew_fault = 0.; ew_lat = 0.; ew_n = 0;
+  { prof; seed; policy; base_faults = faults;
+    scope = { allow = open_allowance; clock0 = 0.; retries0 = 0; fetched = 0 };
+    rng = seed; link = Up; brk = Closed; consec_failures = 0;
+    half_open_at = 0.; clock_ms = 0.; spent_ms = 0.; ew_fault = 0.; ew_lat = 0.; ew_n = 0;
     reads_ok = 0;
     attempts = 0; retries = 0; stalls = 0; drops = 0; disconnects = 0; reconnects = 0;
     breaker_trips = 0; short_circuits = 0; deadline_hits = 0; retry_denials = 0;
@@ -129,11 +140,12 @@ let create ?(seed = 0x9e3779b9) ?(policy = default_policy) ?(faults = no_faults)
 let profile_of t = t.prof
 let link t = t.link
 let breaker t = t.brk
-let set_faults t f = t.faults <- f
-let faults_of t = t.faults
 let set_base_faults t f = t.base_faults <- f
-let set_gate t g = t.gate <- g
-let set_retry_gate t g = t.retry_gate <- g
+
+let with_allowance t allow f =
+  let saved = t.scope in
+  t.scope <- { allow; clock0 = t.clock_ms; retries0 = t.retries; fetched = 0 };
+  Fun.protect ~finally:(fun () -> t.scope <- saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Wire-health EWMA *)
@@ -221,33 +233,38 @@ let read_succeeded t =
 (* ------------------------------------------------------------------ *)
 (* Budget *)
 
-let set_deadline t d = t.deadline_ms <- d
-
 let begin_plot t =
   t.spent_ms <- 0.;
   if Obs.enabled () then
     Obs.Metrics.set_gauge "transport.breaker_state" (breaker_gauge t.brk)
 
 let deadline_exceeded t =
-  match t.deadline_ms with Some d -> t.spent_ms >= d | None -> false
+  match t.scope.allow.plot_deadline_ms with Some d -> t.spent_ms >= d | None -> false
+
+(* The op's fetch and wire budget; an admitted fetch counts against it. *)
+let admit_fetch t =
+  let sc = t.scope in
+  let over =
+    (match sc.allow.max_fetches with Some n -> sc.fetched >= n | None -> false)
+    ||
+    match sc.allow.max_wire_ms with
+    | Some (used, limit) -> used +. (t.clock_ms -. sc.clock0) >= limit
+    | None -> false
+  in
+  if not over then sc.fetched <- sc.fetched + 1;
+  not over
 
 (* ------------------------------------------------------------------ *)
 (* The resilient read *)
 
 let fetch_raw t ~bytes perform =
-  if deadline_exceeded t then begin
+  if deadline_exceeded t || not (admit_fetch t) then begin
+    (* the op's deadline, read or wire budget is spent: no wire traffic,
+       no breaker accounting — the link itself is fine *)
     t.deadline_hits <- t.deadline_hits + 1;
     Error Deadline_exceeded
   end
-  else
-    match (match t.gate with Some g -> g ~bytes | None -> None) with
-    | Some err ->
-        (* refused by the session server's admission gate (per-session
-           read/deadline budget spent): no wire traffic, no breaker
-           accounting — the link itself is fine *)
-        t.deadline_hits <- t.deadline_hits + 1;
-        Error err
-    | None -> begin
+  else begin
     (* breaker gate: Open refuses outright until the cooldown elapses,
        then lets exactly one probe through in Half_open *)
     (if t.brk = Open && t.clock_ms >= t.half_open_at then set_brk t Half_open);
@@ -278,10 +295,10 @@ let fetch_raw t ~bytes perform =
              configs; the segments put the wire's own (base) rates ahead
              of the session overlay within each fault kind, so each
              fired fault knows who caused it — only wire-attributed
-             outcomes feed the health EWMA.  A zero base collapses every
-             cutoff to the original single-config thresholds, so seeded
-             runs without base faults replay identically. *)
-          let bf = t.base_faults and sf = t.faults in
+             outcomes feed the health EWMA.  With either config zero the
+             cutoffs are the other's single-config thresholds, so a run
+             draws the same outcomes whichever config holds its faults. *)
+          let bf = t.base_faults and sf = t.scope.allow.faults in
           let r = if any_faults bf || any_faults sf then draw t else 1. in
           let c1 = bf.disconnect_rate in
           let c2 = c1 +. sf.disconnect_rate in
@@ -301,7 +318,11 @@ let fetch_raw t ~bytes perform =
             charge t t.policy.read_timeout_ms;
             if r < c3 then note_wire t ~ok:false ~ms:t.policy.read_timeout_ms;
             if n >= t.policy.max_retries then fail Retries_exhausted
-            else if not (match t.retry_gate with Some g -> g () | None -> true) then begin
+            else if
+              match t.scope.allow.retry_tokens with
+              | Some tokens -> t.retries - t.scope.retries0 >= tokens
+              | None -> false
+            then begin
               (* the caller's retry budget is spent: degrade exactly like
                  an exhausted deadline (a [Timed_out] fault upstairs, no
                  breaker accounting — the budget refused, not the link),
@@ -399,7 +420,7 @@ let snapshot (t : t) =
 
 let health_line t =
   let budget =
-    match t.deadline_ms with
+    match t.scope.allow.plot_deadline_ms with
     | Some d -> Printf.sprintf ", budget %.1f/%.1f ms" t.spent_ms d
     | None -> ""
   in

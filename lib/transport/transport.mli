@@ -87,7 +87,7 @@ type breaker = Closed | Open | Half_open
 (** Why a read was refused or abandoned. *)
 type error =
   | Breaker_open  (** refused without touching the link *)
-  | Deadline_exceeded  (** the per-plot budget is spent *)
+  | Deadline_exceeded  (** a budget of the op's {!allowance} is spent *)
   | Disconnected  (** the link is down; {!reconnect} to resume *)
   | Retries_exhausted  (** every attempt's reply was dropped *)
 
@@ -96,46 +96,56 @@ val error_to_string : error -> string
 type t
 
 val create : ?seed:int -> ?policy:policy -> ?faults:faults -> profile -> t
-(** A fresh connected transport. [faults] defaults to {!no_faults}, so a
-    default transport only adds (simulated) latency accounting. *)
+(** A fresh connected transport. [faults] is the wire's weather (what
+    {!set_base_faults} sets) and defaults to {!no_faults}, so a default
+    transport only adds (simulated) latency accounting. *)
 
 val profile_of : t -> profile
 val link : t -> link
 val breaker : t -> breaker
-val set_faults : t -> faults -> unit
-
-val faults_of : t -> faults
-(** The current fault configuration (a session server swaps it per
-    session while that session's traffic runs). *)
 
 val set_base_faults : t -> faults -> unit
-(** The wire's {e own} weather, composed with the per-session overlay:
-    one draw per attempt decides the outcome across both configs, with
-    the base rates ahead of the overlay within each fault kind, so every
-    fired fault is attributed to whichever config caused it.  Only
-    wire-attributed outcomes (base faults, and clean reads) move the
-    health EWMA — a session's synthetic fault storm says nothing about
-    the link.  Defaults to {!no_faults}, under which seeded runs replay
-    exactly as before this knob existed. *)
+(** The wire's {e own} weather, composed with the op's overlay (the
+    [faults] of the {!allowance} in force): one draw per attempt decides
+    the outcome across both configs, with the base rates ahead of the
+    overlay within each fault kind, so every fired fault is attributed
+    to whichever config caused it.  Only wire-attributed outcomes (base
+    faults, and clean reads) move the health EWMA — a session's
+    synthetic fault storm says nothing about the link.  With a zero
+    overlay the draw cutoffs are those of a single config. *)
 
-val set_retry_gate : t -> (unit -> bool) option -> unit
-(** Install (or clear) a retry-budget hook consulted before every retry
-    of a dropped reply.  Returning [false] denies the retry: the read
-    fails with {!error.Deadline_exceeded} (degrading to a [Timed_out]
-    fault at the target, exactly like an exhausted deadline) with no
-    breaker accounting — the {e budget} refused, not the link.  Denials
-    are counted in [retry_denials].  This is where a session server
-    enforces per-session token-bucket retry budgets so a sickening
-    target cannot provoke a retry storm. *)
+(* ------------------------------------------------------------------ *)
+(** {1 The op allowance} *)
 
-val set_gate : t -> (bytes:int -> error option) option -> unit
-(** Install (or clear) an admission gate consulted by {!fetch} before
-    any wire attempt. Returning [Some err] refuses the read — the
-    perform thunk never runs, nothing is charged, and the breaker's
-    failure streak is untouched (the {e link} is healthy; the {e
-    caller's budget} is not). This is where a session server enforces
-    per-session read/deadline budgets at the fetch boundary. Gate
-    refusals are counted as [deadline_hits]. *)
+(** Everything one op may spend on the link ([None]: unlimited).  A
+    refusal fails the read with {!error.Deadline_exceeded} (a
+    [Timed_out] fault at the target) and counts in [deadline_hits]; it
+    charges nothing and leaves the breaker alone — the {e budget}
+    refused, not the link. *)
+type allowance = {
+  faults : faults;  (** the op's fault overlay on top of the weather *)
+  plot_deadline_ms : float option;  (** per-plot budget, see {!deadline_exceeded} *)
+  max_fetches : int option;  (** fetches the op may still admit *)
+  max_wire_ms : (float * float) option;
+      (** [(used, limit)]: refuse once [used] plus the wire ms charged
+          under this allowance reaches [limit] *)
+  retry_tokens : int option;  (** retries the op may spend; then [retry_denials] *)
+}
+
+val open_allowance : allowance
+(** No overlay, no deadline, no budgets: what is in force between ops. *)
+
+val with_allowance : t -> allowance -> (unit -> 'a) -> 'a
+(** [with_allowance t a f] puts [a] in force for [f] and restores the
+    previous allowance on every path, exceptions included.  Its fetch
+    count, wire spend and retries start at zero. *)
+
+val begin_plot : t -> unit
+(** Reset the deadline spend for a new plot. *)
+
+val deadline_exceeded : t -> bool
+(** True once the current plot has spent the whole [plot_deadline_ms]
+    in force — extraction should truncate instead of issuing more reads. *)
 
 val disconnect : t -> unit
 (** Force the link down (what a crashed target or unplugged serial cable
@@ -147,24 +157,13 @@ val reconnect : t -> unit
     [Half_open] so the next read probes the link. *)
 
 (* ------------------------------------------------------------------ *)
-(** {1 Deadline budget} *)
-
-val set_deadline : t -> float option -> unit
-(** Per-plot budget in simulated ms; [None] (default) is unlimited. *)
-
-val begin_plot : t -> unit
-(** Reset the budget spend for a new plot. *)
-
-val deadline_exceeded : t -> bool
-(** True once the current plot has spent its whole budget — extraction
-    should truncate instead of issuing more reads. *)
-
-(* ------------------------------------------------------------------ *)
 (** {1 Reads} *)
 
 val fetch : t -> bytes:int -> (unit -> 'a) -> ('a, error) result
 (** [fetch t ~bytes perform] performs one resilient read of [bytes]
-    bytes. On the success path [perform] is run exactly once and its
+    bytes under the allowance in force: the deadline is checked first,
+    then the op's fetch and wire budget, then the breaker. On the
+    success path [perform] is run exactly once and its
     cost ([rtt + bytes * byte_ms], or the read timeout for a stalled
     attempt) is charged; dropped replies are retried up to
     [max_retries] times with backoff charged between attempts. On any
@@ -189,7 +188,7 @@ type snapshot = {
   breaker_trips : int;  (** transitions to [Open] *)
   short_circuits : int;  (** reads refused by an open breaker *)
   deadline_hits : int;  (** reads refused by an exhausted budget *)
-  retry_denials : int;  (** retries refused by the retry-budget gate *)
+  retry_denials : int;  (** retries refused for want of a retry token *)
   sim_ms : float;  (** total simulated wire time ever charged *)
 }
 

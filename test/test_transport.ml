@@ -153,7 +153,7 @@ let test_breaker_half_open_recovery () =
   Alcotest.(check bool) "Open after threshold" true (Transport.breaker tr = Transport.Open);
   (* heal the link; the first refused fetch charges nothing, so push the
      clock past the cooldown with a reconnect resync *)
-  Transport.set_faults tr Transport.no_faults;
+  Transport.set_base_faults tr Transport.no_faults;
   Transport.reconnect tr;
   Alcotest.(check bool) "Half_open after resync" true
     (Transport.breaker tr = Transport.Half_open);
@@ -179,7 +179,8 @@ let test_deadline_budget () =
      struct-granular coalescing *)
   let _, s2 = session () in
   let tr2 = Transport.create Transport.kgdb_rpi400 in
-  Transport.set_deadline tr2 (Some 40.);
+  Transport.with_allowance tr2 { Transport.open_allowance with plot_deadline_ms = Some 40. }
+  @@ fun () ->
   Target.set_transport s2.Visualinux.target tr2;
   Target.set_read_cache s2.Visualinux.target false;
   let _, res2, tight = Visualinux.plot_figure s2 sc in
@@ -207,7 +208,9 @@ let plots_survive_any_fault_rate =
           ~faults:(Transport.faults_of_rate (float_of_int pct /. 100.))
           Transport.kgdb_rpi400
       in
-      Transport.set_deadline tr (Some 500.);
+      Transport.with_allowance tr
+        { Transport.open_allowance with plot_deadline_ms = Some 500. }
+      @@ fun () ->
       Target.set_transport s.Visualinux.target tr;
       let sc = Option.get (Scripts.find "3-4") in
       let _, _, stats = Visualinux.plot_figure s sc in

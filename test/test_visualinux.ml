@@ -235,7 +235,11 @@ let test_render_real_figure () =
 (* vplot's naive ViewCL synthesis (paper §4). *)
 let test_vplot_auto () =
   let _, _, s = session () in
-  let _, res, _ = Visualinux.vplot_auto s ~typ:"rq" ~expr:"cpu_rq(0)" in
+  let vplot_auto ~typ ~expr =
+    Visualinux.vplot s
+      (Visualinux.synthesize_viewcl (Target.types s.Visualinux.target) ~typ ~expr)
+  in
+  let _, res, _ = vplot_auto ~typ:"rq" ~expr:"cpu_rq(0)" in
   (match Vgraph.boxes res.Viewcl.graph with
   | [ b ] ->
       Alcotest.(check string) "typed" "rq" b.Vgraph.btype;
@@ -243,7 +247,7 @@ let test_vplot_auto () =
         (Vgraph.field b "nr_running" <> None && Vgraph.field b "cpu" <> None)
   | l -> Alcotest.failf "expected 1 box, got %d" (List.length l));
   (* unknown type rejected *)
-  match Visualinux.vplot_auto s ~typ:"nope" ~expr:"0" with
+  match vplot_auto ~typ:"nope" ~expr:"0" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected failure"
 
