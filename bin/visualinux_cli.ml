@@ -525,7 +525,8 @@ let repl_cmd =
           Error "usage: vprof on|off|report|export [--metrics|--prom] <file>"
       | [ "vverify"; pane ] -> (
           let* p = pane_of pane in
-          match Visualinux.vverify s ~pane:p.Panel.pid with
+          let* verdicts = admit (Session.vverify srv !cur ~pane:p.Panel.pid) in
+          match verdicts with
           | None -> Error (Printf.sprintf "no pane %d" p.Panel.pid)
           | Some [] ->
               Printf.printf "pane %d: all structures pass (%d boxes checked)\n" p.Panel.pid
@@ -554,12 +555,14 @@ let repl_cmd =
       | [ "session"; "list" ] ->
           List.iter
             (fun sid ->
-              Printf.printf " %c %d %-10s plots %d, refreshes %d, rejections %d, faults %d\n"
+              Printf.printf
+                " %c %d %-10s plots %d, refreshes %d, verifies %d, rejections %d, faults %d\n"
                 (if sid = !cur then '*' else ' ')
                 sid
                 (Option.value (Session.session_name srv sid) ~default:"?")
                 (Session.counter srv sid "plots")
                 (Session.counter srv sid "refreshes")
+                (Session.counter srv sid "verifies")
                 (Session.counter srv sid "rejections")
                 (Session.counter srv sid "faults"))
             (Session.session_ids srv);

@@ -213,6 +213,12 @@ let checkpoint t op =
     t.compact_next <- max journal_limit (2 * t.jlen)
   end
 
+(* A graph keeps its rendered cards while some pane shows it; the last
+   pane to let go of it frees them. *)
+let release t graph =
+  if not (Hashtbl.fold (fun _ p shown -> shown || p.graph == graph) t.panes false) then
+    Vgraph.keep_cards graph false
+
 let fresh ?(stale = false) t kind graph =
   let id = t.next_id in
   t.next_id <- id + 1;
@@ -220,6 +226,7 @@ let fresh ?(stale = false) t kind graph =
     { pid = id; kind; graph; session = Viewql.make_session graph; history = []; stale }
   in
   Hashtbl.replace t.panes id p;
+  Vgraph.keep_cards graph true;
   p
 
 let mark_all_stale t = Hashtbl.iter (fun _ p -> p.stale <- true) t.panes
@@ -287,7 +294,9 @@ let focus t ~addr =
 
 let close t id =
   if Hashtbl.mem t.panes id then checkpoint t (Jclose { id });
+  let shown = pane_opt t id in
   Hashtbl.remove t.panes id;
+  Option.iter (fun p -> release t p.graph) shown;
   let rec prune = function
     | Leaf x when x = id -> None
     | Leaf x -> Some (Leaf x)
@@ -422,4 +431,6 @@ let refresh t ~at ~extract =
                 (List.rev p.history);
               Hashtbl.replace t.panes at
                 { p with graph; session; stale = false };
+              Vgraph.keep_cards graph true;
+              if graph != p.graph then release t p.graph;
               true))

@@ -185,9 +185,14 @@ val vrefresh :
 
 val vctrl : server -> sid -> Visualinux.vctrl -> Visualinux.vctrl_result outcome
 
+val vverify : server -> sid -> pane:Panel.pane_id -> Sanity.verdict list option outcome
+(** {!Visualinux.vverify} under admission, counted in the session's
+    [verifies] counter. *)
+
 val render : server -> sid -> Panel.pane_id -> string option
 (** Render a pane from the session's cached graph; its link line shows
-    the session's own deadline, no other's.  Never [Rejected] —
+    the session's own deadline and its own last plot's spend, no
+    other's.  Never [Rejected] —
     serving [STALE] panes without touching the link {e is} the degraded
     mode a quarantined target leaves its other sessions in.  [None] for
     unknown sessions or panes. *)

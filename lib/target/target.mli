@@ -197,7 +197,8 @@ val fault_to_string : fault -> string
 
 type section
 (** An open consistent section: the per-page generation stamps observed
-    at the first checked read of each page. *)
+    at the first checked read of each page, and the byte extents the
+    reads covered. *)
 
 val begin_consistent : t -> section
 (** Open a section.  Sections nest; a checked read registers its pages
@@ -217,18 +218,28 @@ val end_consistent : t -> section -> (addr * addr) list
 val consistent : t -> (unit -> 'a) -> 'a * (addr * addr) list
 (** [consistent t f]: run [f] inside its own section; exception-safe. *)
 
-val section_pages : section -> (int * int) list
-(** The (page index, first-read generation stamp) pairs [sec] observed,
-    sorted by page.  For a section that closed clean these are exactly
-    the pages the enclosed build read, each stamp still current — the
-    validity key for incremental re-extraction: the snapshot is
-    reusable until {!Kmem.page_generation} moves on some page. *)
+type snapshot
+(** The validity key of a clean section: the generation its reads are
+    valid at and the byte extents they covered, coalesced. *)
 
-val pages_current : t -> (int * int) list -> bool
-(** [pages_current t stamps]: every page in [stamps] (as returned by
-    {!section_pages}) still carries its stamp, so the build that read
-    them would read the same bytes today.  The one validity test for
-    reusing a snapshot; callers never compare stamps themselves. *)
+val snapshot : section -> snapshot
+(** [snapshot sec] for a section that closed clean (no dirty range):
+    the extents its checked reads covered.  Reads refused before
+    touching memory (null page, refused fetch) cover nothing; they
+    record a fault instead. *)
+
+val snapshot_extents : snapshot -> (addr * addr) list
+(** The [\[lo, hi)] byte extents, ascending and disjoint. *)
+
+val revalidate : t -> snapshot -> bool
+(** [revalidate t snap]: no write since [snap]'s generation touched a
+    byte of its extents ({!Kmem.written_since}), so the build that read
+    them would read the same bytes today.  When true, the snapshot moves
+    forward to the current generation, so the next check scans only
+    newer writes.  Exact while the touched pages' write logs still hold
+    every write since then; a page whose log overflowed answers at page
+    granularity.  The one validity test for reusing a snapshot; callers
+    never compare generations themselves. *)
 
 val set_read_hook : t -> (unit -> unit) option -> unit
 (** Install (or clear) a hook fired after every performed checked read

@@ -41,6 +41,22 @@ type box = {
   attrs : attrs;
 }
 
+(* A box's rendered text and the display state it was rendered from:
+   its views, members and attributes as physical values (every writer replaces these lists rather than editing them,
+   so an unchanged pointer means unchanged content), and [c_hidden],
+   the boxes the card names that were trimmed ([id]) or gone ([-id]),
+   in order — usually none. *)
+type card = {
+  c_views : (string * item list) list;
+  c_members : box_id list;
+  c_view : string;
+  c_collapsed : bool;
+  c_direction : direction;
+  c_extra : (string * string) list;
+  c_hidden : int list;
+  c_text : string;
+}
+
 type t = {
   boxes : (box_id, box) Hashtbl.t;
   by_name : (string, box_id list ref) Hashtbl.t;
@@ -49,10 +65,13 @@ type t = {
   mutable roots : box_id list;
   mutable next_id : int;
   mutable title : string;
+  mutable cards : (box_id, card) Hashtbl.t option;
+      (* rendered cards, kept only while a pane shows the graph *)
 }
 
 let create ?(title = "plot") () =
-  { boxes = Hashtbl.create 64; by_name = Hashtbl.create 64; roots = []; next_id = 1; title }
+  { boxes = Hashtbl.create 64; by_name = Hashtbl.create 64; roots = []; next_id = 1; title;
+    cards = None }
 
 let title g = g.title
 let set_title g s = g.title <- s
@@ -250,6 +269,7 @@ let sweep g ~keep =
     (fun (id, b) ->
       unindex id b.btype;
       if b.bdef <> b.btype then unindex id b.bdef;
+      Option.iter (fun c -> Hashtbl.remove c id) g.cards;
       Hashtbl.remove g.boxes id)
     dead;
   List.sort compare (List.map fst dead)
@@ -323,6 +343,58 @@ let visible g =
   in
   List.iter go g.roots;
   Hashtbl.fold (fun id () acc -> id :: acc) seen [] |> List.sort compare
+
+(* ------------------------------------------------------------------ *)
+(* Rendered cards, cached while a pane shows the graph *)
+
+let keep_cards g on =
+  match (on, g.cards) with
+  | true, None -> g.cards <- Some (Hashtbl.create 64)
+  | false, Some _ -> g.cards <- None
+  | _ -> ()
+
+(* The boxes a card's text names, in order: the current view's link and
+   inline targets, then a container's members. *)
+let iter_near b f =
+  List.iter
+    (function
+      | Link { target = Some t; _ } | Inline { target = t; _ } -> f t
+      | Link { target = None; _ } | Text _ -> ())
+    (current_items b);
+  if b.container then List.iter f b.members
+
+(* [id] for a trimmed box, [-id] for a gone one, 0 for a shown one *)
+let hidden_as g id =
+  match find g id with None -> -id | Some t when t.attrs.trimmed -> id | Some _ -> 0
+
+let fresh_card g b c =
+  c.c_views == b.views && c.c_members == b.members
+  && c.c_view = b.attrs.view && c.c_collapsed = b.attrs.collapsed
+  && c.c_direction = b.attrs.direction && c.c_extra == b.attrs.extra
+  &&
+  let rest = ref c.c_hidden and same = ref true in
+  iter_near b (fun id ->
+      match (hidden_as g id, !rest) with
+      | 0, _ -> ()
+      | h, x :: tl when h = x -> rest := tl
+      | _ -> same := false);
+  !same && !rest = []
+
+let cached_card g b render =
+  match g.cards with
+  | None -> render ()
+  | Some cards -> (
+      match Hashtbl.find_opt cards b.id with
+      | Some c when fresh_card g b c -> c.c_text
+      | Some _ | None ->
+          let text = render () in
+          let hidden = ref [] in
+          iter_near b (fun id -> match hidden_as g id with 0 -> () | h -> hidden := h :: !hidden);
+          Hashtbl.replace cards b.id
+            { c_views = b.views; c_members = b.members; c_view = b.attrs.view;
+              c_collapsed = b.attrs.collapsed; c_direction = b.attrs.direction;
+              c_extra = b.attrs.extra; c_hidden = List.rev !hidden; c_text = text };
+          text)
 
 (* ------------------------------------------------------------------ *)
 (* JSON serialization (the front-end protocol) *)

@@ -174,5 +174,19 @@ val renumber : t -> t
     under their old ids — the canonical form the cached-vs-cold
     identity property compares. *)
 
+val keep_cards : t -> bool -> unit
+(** Turn the graph's card cache on or off.  A pane turns it on when it
+    opens on the graph; the last pane showing the graph turns it off
+    when it closes, which frees every card. *)
+
+val cached_card : t -> box -> (unit -> string) -> string
+(** [cached_card g b render] is [render ()], reused while [g] keeps
+    cards and nothing the card shows has changed since: the box's
+    views, members and display attributes (compared by identity:
+    {!reset_box}, {!set_view}, the [mark_*] functions and ViewQL replace
+    these values, never edit them), and whether each box its current
+    view references is present and untrimmed.  Without a card cache it
+    just renders. *)
+
 val to_json : t -> Json.t
 (** The whole graph as JSON (the vplot wire format). *)

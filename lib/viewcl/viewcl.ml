@@ -40,7 +40,7 @@ type result = Interp.result = {
 
 let create_cache = Interp.create_cache
 let cache_boxes = Interp.cache_boxes
-let cache_pages = Interp.cache_pages
+let cache_extents = Interp.cache_extents
 
 (** Evaluate [src] against [tgt]. *)
 let run ?cfg ?cache tgt src = Interp.run ?cfg ?cache tgt (parse src)

@@ -51,10 +51,11 @@ val parse : string -> Ast.program
 
 type cache = Interp.plot_cache
 (** The cross-run box memo behind incremental re-plots: boxes keyed by
-    (definition name, address), each stamped with the page stamps its
-    consistent section read ({!Target.section_pages}).  Pass the cache of a
-    previous {!run} back in to re-extract only the boxes whose pages
-    were written since, adopting the rest of the graph as-is. *)
+    (definition name, address), each with the snapshot of the byte
+    extents its own consistent section read ({!Target.snapshot}).  Pass
+    the cache of a previous {!run} back in to re-extract only the boxes
+    whose own bytes were written since, keeping the rest of the graph
+    as-is. *)
 
 type result = Interp.result = {
   graph : Vgraph.t;
@@ -64,7 +65,7 @@ type result = Interp.result = {
   repaired : int;  (** boxes whose retry produced a clean snapshot *)
   torn_boxes : int;  (** boxes degraded to [TORN] after the retry budget *)
   cache : cache;  (** pass back to {!run} for an incremental re-plot *)
-  cache_hits : int;  (** boxes adopted from the previous run with zero reads *)
+  cache_hits : int;  (** boxes kept from the previous run with zero reads *)
   cache_misses : int;  (** (definition, address) keys never built before *)
   cache_invalidated : int;  (** stale entries re-extracted in place *)
   rebuilt : Vgraph.box_id list;  (** memoized boxes extracted this run, ascending *)
@@ -77,10 +78,10 @@ val create_cache : unit -> cache
 val cache_boxes : cache -> Vgraph.box_id list
 (** Ids of all memoized boxes, ascending. *)
 
-val cache_pages : cache -> Vgraph.box_id -> (int * int) list
-(** The (page, generation-at-build) stamps recorded for a memoized box —
-    the exact invalidation footprint a Kmem write is tested against.
-    Empty for unknown ids. *)
+val cache_extents : cache -> Vgraph.box_id -> (int * int) list
+(** The [\[lo, hi)] byte extents a memoized box's own build read — the
+    exact invalidation footprint a Kmem write is tested against.  Empty
+    for unknown ids and for boxes that degraded. *)
 
 val run : ?cfg:config -> ?cache:cache -> Target.t -> string -> result
 (** Evaluate a program against a live target. Box construction is
@@ -91,10 +92,11 @@ val run : ?cfg:config -> ?cache:cache -> Target.t -> string -> result
     then degrades to a [TORN] box.
 
     With [?cache] (from a previous run of the same program), the run is
-    an {e incremental re-plot}: a box whose subtree's page stamps all
-    match live memory is adopted with zero target reads ([cache_hits]);
-    a box whose pages moved — or that degraded last time — is
-    re-extracted in place under its existing id ([cache_invalidated]).
+    an {e incremental re-plot}: a box whose own extents no write touched
+    since its build is kept with zero target reads ([cache_hits]), and
+    only its stale descendants are rebuilt; a box whose bytes were
+    written — or that degraded last time — is re-extracted in place
+    under its existing id ([cache_invalidated]).
     Cross-run reuse disables itself while Kmem fault injection is armed,
     keeping injected runs byte-for-byte reproducible.
     @raise Error on failure. *)

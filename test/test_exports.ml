@@ -253,6 +253,7 @@ let allowlist =
     ("Durable.disk_image", "test_durable: what a reboot reads after the crash");
     ("Kmem.poison_range", "test_faults: injects a use-after-free poison range");
     ("Kmem.flip_bits", "test_faults: injects a bit flip");
+    ("Kmem.log_capacity", "test_kmem: overflows one page's write log");
     ("Transport.default_policy", "test_transport, test_session: base of a test policy");
     (* reference readers the tests compare the simulated kernel against *)
     ("Krbtree.validate", "test_kcontainers, test_kernel: raising rbtree reference check");

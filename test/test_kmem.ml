@@ -132,6 +132,60 @@ let test_chunk_boundary () =
   Kmem.write_bytes m boundary "spanning!";
   Alcotest.(check string) "bytes across chunks" "spanning!" (Kmem.read_bytes m boundary 9)
 
+(* The write log answers per byte while it holds every write since the
+   asked generation, and per page once it overflowed. *)
+let test_written_since () =
+  let m = Kmem.create () in
+  let a = Kmem.alloc m ~tag:"two pages" 8192 in
+  let a = ((a lsr Kmem.page_bits) + 1) lsl Kmem.page_bits in
+  let since g lo hi = Kmem.written_since m ~gen:g lo hi in
+  let g = Kmem.generation m in
+  Kmem.write_u8 m (a + 512) 1;
+  Alcotest.(check bool) "before logging, per page" true (since g (a + 600) (a + 601));
+  Kmem.log_writes m;
+  let g0 = Kmem.generation m in
+  Kmem.write_u32 m (a + 64) 7;
+  Alcotest.(check bool) "the written bytes" true (since g0 (a + 66) (a + 67));
+  Alcotest.(check bool) "its page neighbours" false (since g0 (a + 68) (a + 76));
+  Alcotest.(check bool) "another page" false (since g0 (a - 64) (a - 56));
+  Alcotest.(check bool) "nothing after the write" false (since (Kmem.generation m) (a + 64) (a + 68));
+  (* rewriting one field over and over covers its own entry: no overflow *)
+  for _ = 1 to 10 * Kmem.log_capacity do
+    Kmem.write_u64 m (a + 128) 1
+  done;
+  Alcotest.(check bool) "a hot field leaves the rest exact" false (since g0 (a + 200) (a + 208));
+  let g1 = Kmem.generation m in
+  for i = 1 to Kmem.log_capacity + 1 do
+    Kmem.write_u8 m (a + 1024 + (2 * i)) 0
+  done;
+  Alcotest.(check bool) "an overflowed page answers per page" true (since g1 (a + 200) (a + 208));
+  Alcotest.(check bool) "writes after the overflow stay exact" false
+    (since (Kmem.generation m - 1) (a + 200) (a + 208))
+
+(* Property: the log never hides a write — against an unbounded
+   reference log, every overlapping write since [gen] is reported. *)
+let prop_written_since_sound =
+  QCheck.Test.make ~name:"write log never misses an overlapping write" ~count:100
+    QCheck.(pair (list_of_size (Gen.int_range 1 80) (pair (int_bound 8191) (int_range 1 16)))
+              (pair (int_bound 8191) (int_range 1 64)))
+    (fun (writes, (qlo, qlen)) ->
+      let m = Kmem.create () in
+      let base = Kmem.alloc m ~tag:"arena" (3 * 4096) in
+      let base = ((base lsr Kmem.page_bits) + 1) lsl Kmem.page_bits in
+      (* the first write lands before logging starts *)
+      let log = List.map (fun (off, n) ->
+          Kmem.write_bytes m (base + off) (String.make n 'x');
+          Kmem.log_writes m;
+          (Kmem.generation m, base + off, base + off + n)) writes
+      in
+      let lo = base + qlo and hi = base + qlo + qlen in
+      List.for_all
+        (fun (g, _, _) ->
+          let gen = g - 1 in
+          (not (List.exists (fun (g', l, h) -> g' > gen && l < hi && lo < h) log))
+          || Kmem.written_since m ~gen lo hi)
+        log)
+
 (* Property: allocations never overlap. *)
 let prop_no_overlap =
   QCheck.Test.make ~name:"allocations never overlap" ~count:50
@@ -182,6 +236,8 @@ let suite =
     Alcotest.test_case "access counters" `Quick test_counters;
     Alcotest.test_case "wild access flagged" `Quick test_wild_access_flagged;
     Alcotest.test_case "chunk boundary access" `Quick test_chunk_boundary;
+    Alcotest.test_case "write log: per byte, then per page" `Quick test_written_since;
+    QCheck_alcotest.to_alcotest prop_written_since_sound;
     QCheck_alcotest.to_alcotest prop_no_overlap;
     QCheck_alcotest.to_alcotest prop_write_read;
     QCheck_alcotest.to_alcotest prop_u64_roundtrip ]

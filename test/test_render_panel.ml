@@ -208,6 +208,69 @@ let test_multi_tag_order () =
   Alcotest.(check bool) "composed in order" true
     (contains out "[BROKEN] [TORN] [SUSPECT:list] [SUSPECT:rbtree]")
 
+(* ------------------------------------------------------------------ *)
+(* Card cache: a pane's cached render is byte-identical to a cold one *)
+
+(* The pane's render through its card cache, against a render of the
+   same graph with no cards.  The cards are then rebuilt from the
+   current state, so the next check's cached render is served by cards
+   the refreshes, refinements and marks in between must invalidate. *)
+let check_cards_cold what g =
+  let cached = Render.ascii g in
+  Vgraph.keep_cards g false;
+  let cold = Render.ascii g in
+  Vgraph.keep_cards g true;
+  ignore (Render.ascii g);
+  Alcotest.(check string) what cold cached
+
+let test_card_cache_matches_cold () =
+  let k = Kstate.boot () in
+  let w = Workload.create ~seed:5 k in
+  Workload.run ~iters:40 w;
+  let s = Visualinux.attach k in
+  let chaos = Workload.Chaos.create ~seed:5 w ~rate:1.0 in
+  let plot fig = let p, _, _ = Visualinux.plot_figure s (Option.get (Scripts.find fig)) in p.Panel.pid in
+  let panes = ref (List.map (fun fig -> (fig, plot fig)) [ "3-4"; "7-1"; "9-2" ]) in
+  let graph pid = (Panel.pane s.Visualinux.panel pid).Panel.graph in
+  let updates =
+    [| "a = SELECT task_struct FROM * WHERE pid == 2\nUPDATE a WITH trimmed: true";
+       "a = SELECT task_struct FROM *\nUPDATE a WITH collapsed: true";
+       "a = SELECT List FROM *\nUPDATE a WITH direction: vertical";
+       "a = SELECT task_struct FROM *\nUPDATE a WITH collapsed: false" |]
+  in
+  for round = 1 to 16 do
+    if round mod 4 = 0 then for _ = 1 to 5 do Workload.Chaos.mutate chaos done
+    else Workload.step w;
+    List.iter
+      (fun (fig, pid) ->
+        if Visualinux.vrefresh s ~pane:pid = None then Alcotest.failf "refresh of %s failed" fig;
+        check_cards_cold (Printf.sprintf "round %d %s refreshed" round fig) (graph pid);
+        if round mod 3 = 0 then begin
+          ignore
+            (Visualinux.vctrl s
+               (Visualinux.Apply { pane = pid; viewql = updates.(round / 3 mod Array.length updates) }));
+          check_cards_cold (Printf.sprintf "round %d %s refined" round fig) (graph pid)
+        end;
+        if round mod 5 = 0 then begin
+          ignore (Visualinux.vverify s ~pane:pid);
+          (match Vgraph.boxes (graph pid) with
+          | b :: _ -> Vgraph.mark_suspect b ~law:"test" "marked by the test"
+          | [] -> ());
+          check_cards_cold (Printf.sprintf "round %d %s verified" round fig) (graph pid)
+        end)
+      !panes;
+    if round mod 7 = 0 then
+      panes :=
+        List.map
+          (fun (fig, pid) ->
+            if fig = "7-1" then begin
+              ignore (Visualinux.vctrl s (Visualinux.Close { pane = pid }));
+              (fig, plot fig)
+            end
+            else (fig, pid))
+          !panes
+  done
+
 let suite =
   [ Alcotest.test_case "ascii shows everything" `Quick test_ascii_contains_all;
     Alcotest.test_case "multi-tag composition order" `Quick test_multi_tag_order;
@@ -222,4 +285,5 @@ let suite =
     Alcotest.test_case "refine + history" `Quick test_refine_and_history;
     Alcotest.test_case "cross-pane focus" `Quick test_focus_across_panes;
     Alcotest.test_case "secondary pane rendering" `Quick test_secondary_pane_rendering;
-    Alcotest.test_case "session persistence" `Quick test_persistence ]
+    Alcotest.test_case "session persistence" `Quick test_persistence;
+    Alcotest.test_case "cached cards render as a cold copy" `Quick test_card_cache_matches_cold ]

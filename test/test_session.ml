@@ -599,6 +599,27 @@ let test_deadline_does_not_leak () =
   Alcotest.(check bool) "bob's pane shows his own budget" true
     (contains (Option.get (Session.render srv b pb.Panel.pid)) "budget 0.")
 
+(* bob's budget line shows bob's own last plot spend: another session
+   plotting on the shared link since does not change it *)
+let test_budget_shows_own_spend () =
+  let srv = wire_server () in
+  let a = admitted (Session.open_session ~target:"wire" srv "alice") in
+  let b =
+    admitted
+      (Session.open_session ~target:"wire"
+         ~budget:(Session.budget ~plot_deadline_ms:250. ()) srv "bob")
+  in
+  let pb, _, _ = admitted (Session.vplot srv b (fig "7-1")) in
+  let budget () =
+    let out = Option.get (Session.render srv b pb.Panel.pid) in
+    ignore (Str.search_forward (Str.regexp "budget [0-9.]+/250.0 ms") out 0);
+    Str.matched_string out
+  in
+  let own = budget () in
+  Alcotest.(check bool) "bob's plot spent wire time" false (own = "budget 0.0/250.0 ms");
+  let _ = admitted (Session.vplot srv a (fig "3-4")) in
+  Alcotest.(check string) "still bob's own spend after alice's plot" own (budget ())
+
 (* a wire-ms budget bites mid-op at the fetch boundary, and a sibling
    on the same link plots exactly what it plots alone *)
 let test_wire_budget_refuses_mid_op () =
@@ -692,6 +713,8 @@ let suite =
     Alcotest.test_case "vtop shows every target and session" `Quick test_vtop_shows_fleet;
     Alcotest.test_case "a session's deadline does not leak into another's pane" `Quick
       test_deadline_does_not_leak;
+    Alcotest.test_case "a pane's budget line shows its own session's spend" `Quick
+      test_budget_shows_own_spend;
     Alcotest.test_case "a wire-ms budget refuses mid-op, sibling unaffected" `Quick
       test_wire_budget_refuses_mid_op;
     Alcotest.test_case "a session deadline truncates with Timed_out faults" `Quick
