@@ -50,3 +50,78 @@ type program = toplevel list
 exception Error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+
+(* The [@name]s a C expression's source mentions. *)
+let cexpr_refs src =
+  let n = String.length src in
+  let is_id c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' in
+  let rec go i acc =
+    if i >= n then acc
+    else if src.[i] <> '@' then go (i + 1) acc
+    else
+      let j = ref (i + 1) in
+      while !j < n && is_id src.[!j] do incr j done;
+      go !j (String.sub src (i + 1) (!j - i - 1) :: acc)
+  in
+  go 0 []
+
+module Names = Set.Make (String)
+
+(** The definitions whose boxes depend on nothing but their definition
+    and address.  A name resolves in the scope of the call, so a
+    definition that reads a binding it does not make itself — or calls
+    one that does before binding the name — depends on its caller's
+    scope too.  Free names are a least fixpoint over the call graph;
+    definitions sharing a name share their free names. *)
+let closed_defs defs =
+  let free = Hashtbl.create 16 in
+  let callee name = Option.value ~default:Names.empty (Hashtbl.find_opt free name) in
+  let refs bound names = Names.diff (Names.of_list names) bound in
+  let union f = List.fold_left (fun acc x -> Names.union acc (f x)) Names.empty in
+  let rec expr bound = function
+    | Cexpr s -> refs bound (cexpr_refs s)
+    | Ref n -> refs bound [ n ]
+    | Apply { name; args; _ } -> Names.union (Names.diff (callee name) bound) (union (expr bound) args)
+    | Method { args; _ } -> union (expr bound) args
+    | For_each { src; var; body } -> Names.union (expr bound src) (stmts (Names.add var bound) body)
+    | Switch { scrutinee; cases; otherwise } ->
+        Names.union (expr bound scrutinee)
+          (union (fun (ks, e) -> Names.union (union (expr bound) ks) (expr bound e)) cases
+          |> Names.union (Option.fold ~none:Names.empty ~some:(expr bound) otherwise))
+    | Anon_box { items; where } -> scope bound where items
+    | Null_lit | Int_lit _ | Str_lit _ -> Names.empty
+  and stmts bound = function
+    | [] -> Names.empty
+    | Bind (n, e) :: rest -> Names.union (expr bound e) (stmts (Names.add n bound) rest)
+    | Yield e :: rest -> Names.union (expr bound e) (stmts bound rest)
+  (* where-bindings evaluate in order, each seeing the ones before it *)
+  and bind bound where =
+    List.fold_left (fun (fv, b) (n, e) -> (Names.union fv (expr b e), Names.add n b)) (Names.empty, bound) where
+  and scope bound where items =
+    let fv, b = bind bound where in
+    Names.union fv (union (item b) items)
+  and item bound = function
+    | I_text { specs; _ } ->
+        union (fun s -> match s.source with Path _ -> Names.empty | Texpr e -> expr bound e) specs
+    | I_link { target; _ } | I_container { target; _ } -> expr bound target
+  in
+  let def d =
+    let fv, b = bind (Names.singleton "this") d.bwhere in
+    Names.union fv (union (fun v -> scope b v.vwhere v.vitems) d.bviews)
+  in
+  let rec fix () =
+    let changed =
+      List.fold_left
+        (fun changed d ->
+          let fv = Names.union (callee d.bname) (def d) in
+          if Names.equal fv (callee d.bname) then changed
+          else begin
+            Hashtbl.replace free d.bname fv;
+            true
+          end)
+        false defs
+    in
+    if changed then fix ()
+  in
+  fix ();
+  List.filter_map (fun d -> if Names.is_empty (callee d.bname) then Some d.bname else None) defs

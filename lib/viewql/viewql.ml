@@ -453,7 +453,10 @@ let apply_attr g id (name, v) =
   | "shrinked" | "shrunk" -> a.Vgraph.collapsed <- v = "true"
   | "direction" ->
       a.Vgraph.direction <- (if v = "vertical" then Vgraph.Vertical else Vgraph.Horizontal)
-  | other -> a.Vgraph.extra <- (other, v) :: a.Vgraph.extra
+  | other ->
+      (* a re-applied binding leaves the list (and the box's card) as is *)
+      if List.assoc_opt other a.Vgraph.extra <> Some v then
+        a.Vgraph.extra <- (other, v) :: List.remove_assoc other a.Vgraph.extra
 
 (** Execute a parsed program; returns the number of boxes updated. *)
 let exec_program s prog =

@@ -169,6 +169,22 @@ let test_arrow_projection_and_extra_attrs () =
   Alcotest.(check (option string)) "free-form attr lands in extra" (Some "red")
     (List.assoc_opt "highlight" v1.Vgraph.attrs.Vgraph.extra)
 
+(* A pane's ViewQL history is replayed on every refresh: re-applying a
+   binding must neither stack it nor replace the list, whose identity
+   keeps the box's cached card; a new value replaces the old one. *)
+let test_reapplied_attr_is_stable () =
+  let g, _, _, _, v1, _, _ = mk_graph () in
+  let ql = "m = SELECT task_struct->mm FROM *\nUPDATE m WITH highlight: red" in
+  ignore (exec g ql);
+  let extra = v1.Vgraph.attrs.Vgraph.extra in
+  ignore (exec g ql);
+  ignore (exec g ql);
+  Alcotest.(check bool) "same list after replays" true (v1.Vgraph.attrs.Vgraph.extra == extra);
+  ignore (exec g "m = SELECT task_struct->mm FROM *\nUPDATE m WITH highlight: blue");
+  Alcotest.(check (list (pair string string))) "one binding, the new value"
+    [ ("highlight", "blue") ]
+    (List.filter (fun (k, _) -> k = "highlight") v1.Vgraph.attrs.Vgraph.extra)
+
 let test_named_sets_persist () =
   let g, _, _, _, _, _, _ = mk_graph () in
   let s = Viewql.make_session g in
@@ -283,6 +299,7 @@ let suite =
     Alcotest.test_case "alias address compare" `Quick test_alias_address_compare;
     Alcotest.test_case "multi-attribute update" `Quick test_multi_attribute_update;
     Alcotest.test_case "arrow projection + extra attrs" `Quick test_arrow_projection_and_extra_attrs;
+    Alcotest.test_case "a re-applied attribute is stable" `Quick test_reapplied_attr_is_stable;
     Alcotest.test_case "named sets persist in session" `Quick test_named_sets_persist;
     Alcotest.test_case "errors" `Quick test_errors;
     QCheck_alcotest.to_alcotest prop_where_model;

@@ -401,11 +401,18 @@ let test_extraction_contract () =
   (* recover *)
   let tr, s = fresh () in
   let p, _, _ = Visualinux.vplot s good in
+  let before = Hashtbl.find s.Visualinux.caches p.Panel.pid in
   Transport.disconnect tr;
   Alcotest.(check int) "recover down: reconnects, nothing stale" 0 (Visualinux.recover s);
   check_bool "recover down: link up" true (Transport.link tr = Transport.Up);
   check_bool "recover down: pane live" false (stale s p.Panel.pid);
-  check_bool "recover down: caches reset" true (Hashtbl.length s.Visualinux.caches = 0);
+  (* the pre-crash cache is gone; the pane holds the replay's own *)
+  check_bool "recover down: caches reset to the replay's" true
+    (Hashtbl.length s.Visualinux.caches = 1
+    && Hashtbl.find s.Visualinux.caches p.Panel.pid != before);
+  (match Visualinux.vrefresh s ~pane:p.Panel.pid with
+  | Some (res, _) -> Alcotest.(check int) "recover down: next refresh warm" 0 res.Viewcl.cache_misses
+  | None -> Alcotest.fail "recover down: refresh refused");
   let _, s = fresh () in
   let id = bad_pane s in
   Alcotest.(check int) "recover error: one stale pane" 1 (Visualinux.recover s);
