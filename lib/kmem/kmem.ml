@@ -92,10 +92,8 @@ let pages_of base size =
 (* Write generations.  [touch] is the single funnel every mutation goes
    through: it bumps the global generation and stamps that generation
    onto every 4KiB page overlapped.  Storing the *stamp* (not a count)
-   lets a reader decide both "did this page change since I read it?"
-   and "had it already changed since my section began before I first
-   read it?" — the second is the snapshot-mixing hazard a plain
-   counter cannot see (see Target consistent sections).
+   lets a reader ask "did this page change since generation [gen]?" —
+   whether that write came after its read or before it.
 
    Once a reader has asked for it ([log_writes]), [touch] also logs the
    written byte range on each page, so the reader can ask whether a

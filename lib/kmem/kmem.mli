@@ -87,12 +87,13 @@ val write_cstring : t -> addr -> ?field_size:int -> string -> unit
 
     Every mutation — typed writes, [flip_bits], and the allocation-map
     transitions of {!alloc} and {!free} — bumps a global generation
-    counter and stamps it onto each 4KiB page overlapped.  A reader
-    wanting seqlock-style consistency records the page stamps for the
-    ranges it reads and re-checks them afterwards: any change means a
-    writer raced the read (a torn snapshot), and a first-read stamp
-    newer than the section start means the snapshot already mixes
-    before/after state.  Pure reads never bump generations. *)
+    counter and stamps it onto each 4KiB page overlapped.  Pure reads
+    never bump generations.  The page stamps validate a page-granular
+    read cache and are {!written_since}'s fast path (a page with no
+    write since [gen] needs no log scan).  Whether a write raced a
+    reader — a torn snapshot, or a stale one — is asked of
+    {!written_since} over the byte ranges the reader read, from the
+    generation it started at. *)
 
 val generation : t -> int
 (** Global write generation: total mutations performed so far. *)

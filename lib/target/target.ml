@@ -24,26 +24,23 @@ type fault =
   | Torn of { lo : addr; hi : addr }
 
 (* A consistent section, seqlock-style.  [sec_start] is the global
-   write generation when the section opened; [sec_pages] maps each page
-   touched by a checked read to the page's generation stamp at its
-   *first* read.  At section end a page is dirty when its stamp moved
-   since first read (a write raced the walk) or its first-read stamp
-   already postdates [sec_start] (the snapshot mixes before/after
-   state — the case a plain per-page counter cannot see).  Sections
-   nest; a checked read registers its pages in the innermost open
-   section only, giving per-box granularity to the retry layer.
-
-   A section also records the byte extents its reads covered: [ext_lo,
-   ext_hi) is the extent being grown by consecutive reads that overlap
-   or abut it, [ext_done] the extents closed before it, newest first.
-   These, not the pages, are the validity key of an incremental
-   re-plot ({!snapshot}). *)
+   write generation when the section opened.  The section records the
+   byte extents its reads covered: [ext_lo, ext_hi) is the extent being
+   grown by consecutive reads that overlap or abut it, [ext_done] the
+   extents closed before it, newest first.  At section end they are
+   sorted and coalesced into [sec_ext], and an extent is dirty when a
+   write since [sec_start] touched one of its bytes — whether it raced
+   the walk after the read or landed before it (the snapshot then mixes
+   before/after state).  The same extents are the validity key of an
+   incremental re-plot ({!snapshot}).  Sections nest; a read widens the
+   innermost open section only, giving per-box granularity to the
+   retry layer. *)
 type section = {
   sec_start : int;
-  sec_pages : (int, int) Hashtbl.t;
   mutable ext_lo : int;
   mutable ext_hi : int;
   mutable ext_done : (int * int) list;
+  mutable sec_ext : int array;
 }
 
 (* The generation a clean section's reads are valid at, and the
@@ -61,7 +58,7 @@ type t = {
   mutable sinks : fault list ref list;  (* innermost with_faults first *)
   mutable transport : Transport.t option;  (* None: reads are local/free *)
   mutable sections : section list;  (* innermost consistent section first *)
-  mutable read_hook : (unit -> unit) option;  (* chaos: fired between reads *)
+  mutable read_hook : (addr -> unit) option;  (* chaos: fired between reads *)
   mutable in_hook : bool;  (* reentrancy guard for [read_hook] *)
   (* Generation-validated read cache (transport-avoidance only): page
      index -> Kmem page generation at fill.  A lookup is a hit when
@@ -160,75 +157,68 @@ let with_faults t f =
 let begin_consistent t =
   Kmem.log_writes t.kmem;
   let sec =
-    { sec_start = Kmem.generation t.kmem; sec_pages = Hashtbl.create 16; ext_lo = 0;
-      ext_hi = 0; ext_done = [] }
+    { sec_start = Kmem.generation t.kmem; ext_lo = 0; ext_hi = 0; ext_done = [];
+      sec_ext = [||] }
   in
   t.sections <- sec :: t.sections;
   sec
 
-(* Widen the section's extents by the [n] bytes at [a]. *)
-let add_extent sec a n =
-  let hi = a + max n 1 in
-  if sec.ext_hi = 0 then begin
-    sec.ext_lo <- a;
-    sec.ext_hi <- hi
-  end
-  else if a <= sec.ext_hi && hi >= sec.ext_lo then begin
-    sec.ext_lo <- min a sec.ext_lo;
-    sec.ext_hi <- max hi sec.ext_hi
-  end
-  else begin
-    sec.ext_done <- (sec.ext_lo, sec.ext_hi) :: sec.ext_done;
-    sec.ext_lo <- a;
-    sec.ext_hi <- hi
-  end
-
-(* Register the pages of an [n]-byte read at [a] in the innermost open
-   section, stamping each page with its current generation the first
-   time the section sees it.  Innermost-only gives per-box granularity:
-   a nested section (a child box's build) owns its reads, so a tear in
-   a child does not dirty — and needlessly re-extract — its ancestors.
-   One list match when no section is open. *)
+(* Widen the innermost open section's extents by the [n] bytes read at
+   [a].  Innermost-only gives per-box granularity: a nested section (a
+   child box's build) owns its reads, so a tear in a child does not
+   dirty — and needlessly re-extract — its ancestors.  One list match
+   when no section is open. *)
 let observe_read t a n =
   match t.sections with
   | [] -> ()
   | sec :: _ ->
       let hi = a + max n 1 in
-      for p = a lsr Kmem.page_bits to (hi - 1) lsr Kmem.page_bits do
-        if not (Hashtbl.mem sec.sec_pages p) then
-          Hashtbl.add sec.sec_pages p (Kmem.page_generation t.kmem p)
-      done;
-      add_extent sec a n
+      if sec.ext_hi = 0 then begin
+        sec.ext_lo <- a;
+        sec.ext_hi <- hi
+      end
+      else if a <= sec.ext_hi && hi >= sec.ext_lo then begin
+        sec.ext_lo <- min a sec.ext_lo;
+        sec.ext_hi <- max hi sec.ext_hi
+      end
+      else begin
+        sec.ext_done <- (sec.ext_lo, sec.ext_hi) :: sec.ext_done;
+        sec.ext_lo <- a;
+        sec.ext_hi <- hi
+      end
+
+(* The index of the first extent of the flat [lo; hi] array [ext], at
+   or after [i], that a write since [gen] touched; [Array.length ext]
+   when none did.  The one change test: a section's tears ask it from
+   the section's start, {!revalidate} from the snapshot's generation. *)
+let rec next_written t ~gen ext i =
+  if i >= Array.length ext || Kmem.written_since t.kmem ~gen ext.(i) ext.(i + 1) then i
+  else next_written t ~gen ext (i + 2)
 
 let c_torn = Obs.Counter.make "target.torn"
 
 let end_consistent t sec =
   t.sections <- List.filter (fun s -> s != sec) t.sections;
-  let dirty =
-    Hashtbl.fold
-      (fun p stamp acc ->
-        if stamp > sec.sec_start || Kmem.page_generation t.kmem p <> stamp then p :: acc
-        else acc)
-      sec.sec_pages []
-  in
-  (* coalesce adjacent dirty pages into [lo, hi) byte ranges *)
-  let rec ranges = function
+  let all = if sec.ext_hi = 0 then sec.ext_done else (sec.ext_lo, sec.ext_hi) :: sec.ext_done in
+  let rec coalesce = function
+    | (lo, hi) :: (lo', hi') :: rest when lo' <= hi -> coalesce ((lo, max hi hi') :: rest)
+    | x :: rest -> x :: coalesce rest
     | [] -> []
-    | p :: rest ->
-        let rec extend q = function
-          | r :: tl when r = q + 1 -> extend r tl
-          | tl -> (q, tl)
-        in
-        let q, rest = extend p rest in
-        (p lsl Kmem.page_bits, (q + 1) lsl Kmem.page_bits) :: ranges rest
   in
-  let dirty = ranges (List.sort compare dirty) in
-  List.iter
-    (fun (lo, hi) ->
+  let ext =
+    Array.of_list (List.concat_map (fun (lo, hi) -> [ lo; hi ]) (coalesce (List.sort compare all)))
+  in
+  sec.sec_ext <- ext;
+  let rec dirty i =
+    let i = next_written t ~gen:sec.sec_start ext i in
+    if i >= Array.length ext then []
+    else begin
       if Obs.enabled () then Obs.Counter.incr c_torn;
-      record_fault t (Torn { lo; hi }))
-    dirty;
-  dirty
+      record_fault t (Torn { lo = ext.(i); hi = ext.(i + 1) });
+      (ext.(i), ext.(i + 1)) :: dirty (i + 2)
+    end
+  in
+  dirty 0
 
 let consistent t f =
   let sec = begin_consistent t in
@@ -239,43 +229,35 @@ let consistent t f =
       raise e
 
 (* A clean section's validity key: its start generation (no write
-   touched a page it read between then and its clean end) and its
-   extents, sorted and coalesced. *)
-let snapshot sec =
-  let all = if sec.ext_hi = 0 then sec.ext_done else (sec.ext_lo, sec.ext_hi) :: sec.ext_done in
-  let rec coalesce = function
-    | (lo, hi) :: (lo', hi') :: rest when lo' <= hi -> coalesce ((lo, max hi hi') :: rest)
-    | x :: rest -> x :: coalesce rest
-    | [] -> []
-  in
-  let ext = coalesce (List.sort compare all) in
-  { snap_gen = sec.sec_start;
-    snap_ext = Array.of_list (List.concat_map (fun (lo, hi) -> [ lo; hi ]) ext) }
+   touched a byte it read between then and its clean end) and the
+   extents {!end_consistent} sorted and coalesced. *)
+let snapshot sec = { snap_gen = sec.sec_start; snap_ext = sec.sec_ext }
 
 let snapshot_extents snap =
   List.init (Array.length snap.snap_ext / 2) (fun i ->
       (snap.snap_ext.(2 * i), snap.snap_ext.((2 * i) + 1)))
 
 let revalidate t snap =
-  let ext = snap.snap_ext in
-  let rec clean i =
-    i >= Array.length ext
-    || ((not (Kmem.written_since t.kmem ~gen:snap.snap_gen ext.(i) ext.(i + 1))) && clean (i + 2))
-  in
-  clean 0 && begin
-    snap.snap_gen <- Kmem.generation t.kmem;
-    true
-  end
+  next_written t ~gen:snap.snap_gen snap.snap_ext 0 >= Array.length snap.snap_ext
+  && begin
+       snap.snap_gen <- Kmem.generation t.kmem;
+       true
+     end
 
 let set_read_hook t h = t.read_hook <- h
 
-(* Fire the chaos hook after a performed read.  The guard stops a hook
-   whose mutators themselves go through this target from recursing. *)
-let fire_read_hook t =
+(* Fire the chaos hook after a performed read at [a].  The guard stops
+   a hook whose mutators themselves go through this target from
+   recursing.  The mutators' own memory reads are the writer's, not the
+   section's: they run with a helper's read observer ({!add_helper})
+   masked. *)
+let fire_read_hook t a =
   match t.read_hook with
   | Some h when not t.in_hook ->
       t.in_hook <- true;
-      Fun.protect ~finally:(fun () -> t.in_hook <- false) h
+      Fun.protect
+        ~finally:(fun () -> t.in_hook <- false)
+        (fun () -> Kmem.observing t.kmem (fun _ _ -> ()) (fun () -> h a))
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -335,7 +317,7 @@ let transported t ~ctx ~at ~bytes ~default perform =
 
    The cache avoids transport round-trips, nothing else: a hit skips
    [Transport.fetch] but still performs the Kmem read, so read counters,
-   consistent-section page registration, injection draws and the chaos
+   consistent-section extents, injection draws and the chaos
    hook all behave exactly as on the uncached path — a cached run and an
    uncached run issue the same Kmem read sequence.  Without a transport
    reads are local and free, so the cache is bypassed entirely (and
@@ -437,7 +419,7 @@ let checked_read t ~ctx a ~extent ~default read =
               v)
     in
     let v = if Obs.enabled () then Obs.with_span ~cat:"target" "target.read" go else go () in
-    fire_read_hook t;
+    fire_read_hook t a;
     v
   end
 
@@ -648,13 +630,12 @@ let add_symbol t name v = Hashtbl.replace t.symbols name v
 let add_macro t name n = Hashtbl.replace t.macros name n
 (* A helper reads kernel memory itself, past the checked reads.  Inside
    a consistent section the bytes it read join the section's extents,
-   so a box showing what a helper found goes stale when they change;
-   tear detection stays with the checked reads' pages. *)
+   so a write to them tears the section and stales its box. *)
 let add_helper t name h =
   Hashtbl.replace t.helpers name (fun t' args ->
       match t'.sections with
       | [] -> h t' args
-      | sec :: _ -> Kmem.observing t'.kmem (add_extent sec) (fun () -> h t' args))
+      | _ :: _ -> Kmem.observing t'.kmem (observe_read t') (fun () -> h t' args))
 
 let lookup_symbol t name =
   match Hashtbl.find_opt t.symbols name with

@@ -56,9 +56,10 @@ type fault =
           link disconnected, or every retry's reply dropped; [detail]
           is the {!Transport.error} name *)
   | Torn of { lo : addr; hi : addr }
-      (** a writer raced a consistent section: the byte range
-          [\[lo, hi)] (page-granular) was mutated between the first
-          read that touched it and the section's end check *)
+      (** a writer raced a consistent section: some byte of the read
+          extent [\[lo, hi)] — bytes the section's reads covered,
+          helper reads included — was written after the section opened
+          and before its end check *)
 
 type t
 
@@ -196,24 +197,26 @@ val fault_to_string : fault -> string
 (* Consistent sections — seqlock-style torn-read detection *)
 
 type section
-(** An open consistent section: the per-page generation stamps observed
-    at the first checked read of each page, and the byte extents the
-    reads covered. *)
+(** An open consistent section: the write generation it opened at and
+    the byte extents its reads covered. *)
 
 val begin_consistent : t -> section
-(** Open a section.  Sections nest; a checked read registers its pages
-    in the {e innermost} open section only, so a nested section (a
-    child box's build) owns its reads and a tear there does not dirty
-    its ancestors.  With no section open, reads pay one list match. *)
+(** Open a section.  Sections nest; a checked read (or a helper's read,
+    {!add_helper}) widens the extents of the {e innermost} open section
+    only, so a nested section (a child box's build) owns its reads and
+    a tear there does not dirty its ancestors.  With no section open,
+    reads pay one list match. *)
 
 val end_consistent : t -> section -> (addr * addr) list
-(** Close [sec] and return the dirty byte ranges [\[lo, hi)]
-    (page-granular, adjacent pages coalesced): pages some writer
-    mutated after the section first read them, or that had already
-    changed since the section opened before their first read (a mixed
-    snapshot).  Each range also records a {!fault.Torn} fault, so a
-    box built under {!with_faults} sees its own tears.  Empty means
-    the reads form a consistent snapshot. *)
+(** Close [sec] and return its dirty extents [\[lo, hi)], ascending:
+    the coalesced byte extents it read of which some byte was written
+    since the section opened ({!Kmem.written_since}) — whether the
+    write raced the walk after the read or landed before it (a mixed
+    snapshot).  A write elsewhere on a page the section read is not a
+    tear, except on a page whose write log overflowed, which counts any
+    write ({!revalidate} asks the same question).  Each extent also records a {!fault.Torn} fault, so a box
+    built under {!with_faults} sees its own tears.  Empty means the
+    reads form a consistent snapshot. *)
 
 val consistent : t -> (unit -> 'a) -> 'a * (addr * addr) list
 (** [consistent t f]: run [f] inside its own section; exception-safe. *)
@@ -223,10 +226,10 @@ type snapshot
     valid at and the byte extents they covered, coalesced. *)
 
 val snapshot : section -> snapshot
-(** [snapshot sec] for a section that closed clean (no dirty range):
-    the extents its checked reads covered.  Reads refused before
-    touching memory (null page, refused fetch) cover nothing; they
-    record a fault instead. *)
+(** [snapshot sec] for a section {!end_consistent} closed clean (no
+    dirty extent): the extents its reads covered, as that check sorted
+    and coalesced them.  Reads refused before touching memory (null
+    page, refused fetch) cover nothing; they record a fault instead. *)
 
 val snapshot_extents : snapshot -> (addr * addr) list
 (** The [\[lo, hi)] byte extents, ascending and disjoint. *)
@@ -241,11 +244,13 @@ val revalidate : t -> snapshot -> bool
     granularity.  The one validity test for reusing a snapshot; callers
     never compare generations themselves. *)
 
-val set_read_hook : t -> (unit -> unit) option -> unit
-(** Install (or clear) a hook fired after every performed checked read
-    — the chaos harness's injection point for mutators that race the
-    extraction.  Reentrant firing is suppressed: a hook whose own work
-    reads through this target does not recurse. *)
+val set_read_hook : t -> (addr -> unit) option -> unit
+(** Install (or clear) a hook fired with the address of every performed
+    checked read — the chaos harness's injection point for mutators
+    that race the extraction.  Reentrant firing is suppressed: a hook
+    whose own work reads through this target does not recurse.  The
+    hook's own memory reads never join a section's extents, even while
+    a helper's reads are being observed. *)
 
 (* ------------------------------------------------------------------ *)
 (* Generation-validated read cache — the only way a read skips the wire *)

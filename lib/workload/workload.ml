@@ -229,22 +229,30 @@ module Chaos = struct
   (* One small mutation of live kernel state.  Weighted toward cheap
      single-word stores (vruntime bumps, comm scribbles); occasionally a
      timer add or an mmap/munmap — the latter frees and rebuilds maple
-     nodes, the StackRot-shaped race.  Must never raise. *)
-  let mutate c =
+     nodes, the StackRot-shaped race.  The stores go to the task whose
+     task_struct the read at [at] just touched — the writer busy with
+     the very object the walk is reading, the race a consistent section
+     exists to catch — or else to a random leader.  Must never raise. *)
+  let mutate_at c at =
     let k = c.wl.kernel in
     let ctx = k.Kstate.ctx in
     match c.wl.procs with
     | [] -> ()
     | procs -> (
         let leader, _ = List.nth procs (crand c (List.length procs)) in
+        let task =
+          match Option.bind at (Kmem.find_alloc ctx.Kcontext.mem) with
+          | Some (base, _, "task_struct") when Kmem.is_live ctx.Kcontext.mem base -> base
+          | _ -> leader
+        in
         match crand c 10 with
         | 0 | 1 | 2 | 3 | 4 | 5 ->
-            (* scheduler activity: bump the leader's vruntime *)
-            let v = Kcontext.r64 ctx leader "task_struct" "se.vruntime" in
-            Kcontext.w64 ctx leader "task_struct" "se.vruntime" (v + 1024 + crand c 4096)
+            (* scheduler activity: bump the task's vruntime *)
+            let v = Kcontext.r64 ctx task "task_struct" "se.vruntime" in
+            Kcontext.w64 ctx task "task_struct" "se.vruntime" (v + 1024 + crand c 4096)
         | 6 | 7 ->
             (* rename: scribble the comm field *)
-            Kcontext.wstr ctx leader "task_struct" "comm" ~field_size:16
+            Kcontext.wstr ctx task "task_struct" "comm" ~field_size:16
               (Printf.sprintf "chaos-%d" (crand c 1000))
         | 8 ->
             ignore
@@ -261,11 +269,13 @@ module Chaos = struct
             in
             if crand c 2 = 0 then Ksyscall.munmap k leader vma)
 
+  let mutate c = mutate_at c None
+
   (* The read hook itself: fire one mutation with probability [rate]. *)
-  let hook c () =
+  let hook c at =
     if c.rate > 0. && float_of_int (crand c 1_000_000) /. 1_000_000. < c.rate then begin
       c.fired <- c.fired + 1;
-      mutate c
+      mutate_at c (Some at)
     end
 
   let arm c tgt = Target.set_read_hook tgt (Some (hook c))

@@ -26,7 +26,8 @@ val leaders : t -> Kmem.addr list
 (** Chaos harness: seeded mutators fired between target reads (via
     {!Target.set_read_hook}), simulating the live kernel changing under
     the debugger mid-plot.  Mutations are weighted toward cheap stores
-    (vruntime bumps, comm scribbles) with occasional timer adds and
+    (vruntime bumps, comm scribbles) to the task the triggering read
+    touched (else a random leader), with occasional timer adds and
     mmap/munmap churn — the latter frees and rebuilds maple nodes, the
     StackRot-shaped race.  All writes bypass the target (straight to
     {!Kmem}), so firing from inside a read cannot recurse; an
@@ -47,7 +48,8 @@ module Chaos : sig
   (** Mutations performed so far. *)
 
   val mutate : chaos -> unit
-  (** Perform one mutation unconditionally (exposed for tests). *)
+  (** Perform one mutation unconditionally, its stores to a random
+      leader (exposed for tests). *)
 end
 
 (** Deterministic chaos campaigns: a scripted fault timeline replacing
