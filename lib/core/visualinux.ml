@@ -181,11 +181,11 @@ let vctrl s cmd =
       Panel.close s.panel pane;
       Closed
 
-(** vchat: natural language -> ViewQL (via the deterministic synthesizer
-    or a plugged-in LLM) -> applied to the pane. Returns the synthesized
-    program and the number of boxes updated. *)
-let vchat s ?llm ~pane text =
-  let program = Vchat.synthesize ?llm text in
+(** vchat: natural language -> ViewQL (via the deterministic
+    synthesizer) -> applied to the pane. Returns the synthesized program
+    and the number of boxes updated. *)
+let vchat s ~pane text =
+  let program = Vchat.synthesize text in
   let updated = Panel.refine s.panel ~at:pane program in
   (program, updated)
 

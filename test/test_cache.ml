@@ -17,11 +17,11 @@ let session () =
 let source fig = (Option.get (Scripts.find fig)).Scripts.source
 
 (* A cold control plot of the same kernel through a fresh target with
-   the read cache off: the uncached extraction path.  [?target_pid]
-   pins the plotted process when a write may change which one attach
-   would pick. *)
-let cold_plot ?target_pid k src =
-  let s = Visualinux.attach ?target_pid k in
+   the read cache off: the uncached extraction path.  [target_pid] is
+   the warm session's: a write may change which process attach would
+   pick on its own. *)
+let cold_plot ~target_pid k src =
+  let s = Visualinux.attach ~target_pid k in
   Target.set_read_cache s.Visualinux.target false;
   let res = Viewcl.run ~cfg:s.Visualinux.cfg s.Visualinux.target src in
   res.Viewcl.graph
@@ -124,7 +124,9 @@ let warm_equals_cold =
       | None -> false
       | Some (res, _) ->
           let warm = Render.canonical res.Viewcl.graph in
-          let cold = Render.canonical (cold_plot k src) in
+          let cold =
+            Render.canonical (cold_plot ~target_pid:s.Visualinux.target_pid k src)
+          in
           warm = cold)
 
 let warm_equals_cold_under_injection =
@@ -137,7 +139,7 @@ let warm_equals_cold_under_injection =
       let pane, _, _ = Visualinux.vplot s src in
       (* attach the cold session before arming: attach itself reads
          target memory, and those reads must not consume LCG draws *)
-      let cold_s = Visualinux.attach k in
+      let cold_s = Visualinux.attach ~target_pid:s.Visualinux.target_pid k in
       Target.set_read_cache cold_s.Visualinux.target false;
       let mem = k.Kstate.ctx.Kcontext.mem in
       (* identical LCG schedule for the warm and the cold run *)
@@ -258,7 +260,7 @@ let test_failed_run_rolls_back () =
   | None -> Alcotest.fail "vrefresh after a failed run"
   | Some (res, _) ->
       Alcotest.(check string) "warm refresh after a failed run == cold plot"
-        (Render.canonical (cold_plot k src))
+        (Render.canonical (cold_plot ~target_pid:s.Visualinux.target_pid k src))
         (Render.canonical res.Viewcl.graph)
 
 (* A redefined Box changing its C type must not reuse the old box in
@@ -311,7 +313,8 @@ let test_graph_bounded_across_refreshes () =
           stats.Visualinux.boxes
   done;
   Alcotest.(check bool) "persistent graph bounded by a cold plot" true
-    (!final <= Vgraph.box_count (cold_plot k src))
+    (!final
+    <= Vgraph.box_count (cold_plot ~target_pid:s.Visualinux.target_pid k src))
 
 (* ------------------------------------------------------------------ *)
 (* ViewQL over the refreshed (persistent) graph *)
@@ -397,7 +400,8 @@ let refreshed tb =
   | None -> Alcotest.fail "vrefresh failed"
   | Some (res, _) ->
       Alcotest.(check string) "warm refresh == cold plot"
-        (Render.canonical (cold_plot tb.tk two_box_src))
+        (Render.canonical
+           (cold_plot ~target_pid:tb.ts.Visualinux.target_pid tb.tk two_box_src))
         (Render.canonical res.Viewcl.graph);
       res.Viewcl.rebuilt
 
@@ -476,7 +480,7 @@ plot Top(${task_of_pid(target_pid)})
         (List.sort compare [ top.Vgraph.id; leaf.Vgraph.id ])
         res.Viewcl.rebuilt;
       Alcotest.(check string) "warm refresh == cold plot"
-        (Render.canonical (cold_plot k src))
+        (Render.canonical (cold_plot ~target_pid:s.Visualinux.target_pid k src))
         (Render.canonical res.Viewcl.graph)
 
 let test_caller_binding_rebuilds_the_caller = caller_binding_rebuilds_the_caller ~prelude:""
@@ -502,7 +506,7 @@ let test_helper_read_is_an_extent () =
   | Some (res, _) ->
       Alcotest.(check bool) "the Rq box rebuilt" true (List.mem rq.Vgraph.id res.Viewcl.rebuilt);
       Alcotest.(check string) "warm refresh == cold plot"
-        (Render.canonical (cold_plot k src))
+        (Render.canonical (cold_plot ~target_pid:s.Visualinux.target_pid k src))
         (Render.canonical res.Viewcl.graph)
 
 let suite =
