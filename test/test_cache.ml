@@ -488,6 +488,39 @@ let test_caller_binding_rebuilds_the_caller = caller_binding_rebuilds_the_caller
 let test_shadowed_top_binding_rebuilds_the_caller =
   caller_binding_rebuilds_the_caller ~prelude:"outer = ${7}\n"
 
+(* An [@] inside a C string literal names nothing: the leaf stays closed
+   and a write to its bytes rebuilds the leaf alone, not its caller. *)
+let test_string_literal_is_not_a_name () =
+  let k, _, s = session () in
+  let src =
+    {|define Leaf as Box<task_struct> [
+  Text pid
+  Text tag: ${"@outer"}
+]
+define Top as Box<task_struct> [
+  Text tgid
+  Link parent -> @p
+] where {
+  p = Leaf(${@this->real_parent})
+}
+plot Top(${task_of_pid(target_pid)})
+|}
+  in
+  let pane, res0, _ = Visualinux.vplot s src in
+  let leaf = List.find (fun b -> b.Vgraph.bdef = "Leaf") (Vgraph.boxes res0.Viewcl.graph) in
+  let a =
+    leaf.Vgraph.addr + Ctype.offsetof (Target.types s.Visualinux.target) "task_struct" "pid"
+  in
+  let mem = k.Kstate.ctx.Kcontext.mem in
+  Kmem.write_u8 mem a (Kmem.read_u8 mem a);
+  match Visualinux.vrefresh s ~pane:pane.Panel.pid with
+  | None -> Alcotest.fail "vrefresh failed"
+  | Some (res, _) ->
+      Alcotest.(check (list int)) "only the leaf rebuilt" [ leaf.Vgraph.id ] res.Viewcl.rebuilt;
+      Alcotest.(check string) "warm refresh == cold plot"
+        (Render.canonical (cold_plot ~target_pid:s.Visualinux.target_pid k src))
+        (Render.canonical res.Viewcl.graph)
+
 (* A helper reads kernel memory past the checked reads; the bytes it
    read belong to the calling box's extents.  7-1's Rq shows
    [cpu_curr(@this->cpu)->comm], and only the helper reads [rq->curr]:
@@ -532,5 +565,7 @@ let suite =
       test_caller_binding_rebuilds_the_caller;
     Alcotest.test_case "a caller's binding shadowing a top-level one rebuilds the caller"
       `Quick test_shadowed_top_binding_rebuilds_the_caller;
+    Alcotest.test_case "an @ in a C string literal is not a free name" `Quick
+      test_string_literal_is_not_a_name;
     Alcotest.test_case "a helper's read is part of its box's extents" `Quick
       test_helper_read_is_an_extent ]

@@ -191,6 +191,26 @@ let test_chaos_deterministic () =
     "same torn/retried/repaired/torn-box counts" c1 c2;
   Alcotest.(check string) "same rendered plot" out1 out2
 
+(* A top-level container walk builds in a consistent section too: over
+   chaos seeds 1-40, a 17-1 plot made while the writer is armed either
+   equals a replot made right after it, with the writer disarmed, or
+   reports a tear. *)
+let test_top_level_walk_tears () =
+  let src = (Option.get (Scripts.find "17-1")).Scripts.source in
+  for seed = 1 to 40 do
+    let _, w, s = boot_session () in
+    let tgt = s.Visualinux.target in
+    let c = Workload.Chaos.create ~seed w ~rate:0.3 in
+    Workload.Chaos.arm c tgt;
+    let armed = Viewcl.run ~cfg:s.Visualinux.cfg tgt src in
+    Workload.Chaos.disarm tgt;
+    let quiet = Viewcl.run ~cfg:s.Visualinux.cfg tgt src in
+    if Render.canonical armed.Viewcl.graph <> Render.canonical quiet.Viewcl.graph then
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: an armed walk unlike its replot is torn" seed)
+        true (armed.Viewcl.torn > 0)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Structural sanitizer: corrupted-structure verdicts *)
 
@@ -348,6 +368,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_torn_soundness;
     Alcotest.test_case "torn box degrades, never raises" `Quick test_torn_box_degrades;
     Alcotest.test_case "chaos is deterministic under a seed" `Quick test_chaos_deterministic;
+    Alcotest.test_case "a top-level walk unlike its replot is torn" `Quick test_top_level_walk_tears;
     Alcotest.test_case "red-red rbtree verdict" `Quick test_rbtree_red_red_verdict;
     Alcotest.test_case "stale leftmost cache verdict" `Quick test_rbtree_leftmost_cache_verdict;
     Alcotest.test_case "maple pivot verdict" `Quick test_maple_pivot_verdict;
