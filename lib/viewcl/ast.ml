@@ -4,11 +4,14 @@ type decorator = string list
 (** e.g. [["u64"; "x"]], [["enum"; "maple_type"]], [["flag"; "vm_flags"]] *)
 
 type expr =
-  | Cexpr of string  (** [${...}] — a C expression over the target *)
+  | Cexpr of string * Cexpr.expr
+      (** [${...}] — a C expression over the target: its source, for
+          messages, and its parse *)
   | Ref of string  (** [@name]; [@this] is ["this"] *)
-  | Apply of { name : string; anchor : string option; args : expr list }
+  | Apply of { name : string; anchor : (string * string) option; args : expr list }
       (** box construction or container constructor:
-          [Task<task_struct.se.run_node>(@node)], [RBTree(@root)] *)
+          [Task<task_struct.se.run_node>(@node)] (anchor
+          [("task_struct", "se.run_node")]), [RBTree(@root)] *)
   | Method of { recv : string; meth : string; args : expr list }
       (** [Array.selectFrom(@mm_mt, VMArea)] *)
   | For_each of { src : expr; var : string; body : stmt list }
@@ -51,19 +54,15 @@ exception Error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
-(* The [@name]s a C expression's source mentions. *)
-let cexpr_refs src =
-  let n = String.length src in
-  let is_id c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' in
-  let rec go i acc =
-    if i >= n then acc
-    else if src.[i] <> '@' then go (i + 1) acc
-    else
-      let j = ref (i + 1) in
-      while !j < n && is_id src.[!j] do incr j done;
-      go !j (String.sub src (i + 1) (!j - i - 1) :: acc)
-  in
-  go 0 []
+(* The [@name]s a C expression mentions. *)
+let rec cexpr_refs acc : Cexpr.expr -> string list = function
+  | Cexpr.Ident n when n <> "" && n.[0] = '@' -> String.sub n 1 (String.length n - 1) :: acc
+  | Cexpr.(Ident _ | Int_lit _ | Str_lit _ | Char_lit _ | Sizeof_type _) -> acc
+  | Cexpr.(Unary (_, e) | Cast (_, e) | Sizeof_expr e | Member (e, _) | Arrow (e, _)) ->
+      cexpr_refs acc e
+  | Cexpr.(Binary (_, a, b) | Index (a, b)) -> cexpr_refs (cexpr_refs acc a) b
+  | Cexpr.Ternary (a, b, c) -> cexpr_refs (cexpr_refs (cexpr_refs acc a) b) c
+  | Cexpr.Call (_, args) -> List.fold_left cexpr_refs acc args
 
 module Names = Set.Make (String)
 
@@ -79,7 +78,7 @@ let closed_defs defs =
   let refs bound names = Names.diff (Names.of_list names) bound in
   let union f = List.fold_left (fun acc x -> Names.union acc (f x)) Names.empty in
   let rec expr bound = function
-    | Cexpr s -> refs bound (cexpr_refs s)
+    | Cexpr (_, ce) -> refs bound (cexpr_refs [] ce)
     | Ref n -> refs bound [ n ]
     | Apply { name; args; _ } -> Names.union (Names.diff (callee name) bound) (union (expr bound) args)
     | Method { args; _ } -> union (expr bound) args

@@ -1,6 +1,7 @@
-(** ViewCL lexer. [${...}] escapes are captured raw (brace-balanced) and
-    handed to {!Cexpr} later; [@name] references and [:view] names are
-    single tokens; [//] comments run to end of line. *)
+(** ViewCL lexer. [${...}] escapes are captured raw (brace-balanced),
+    at the line they open on, for the parser to hand to {!Cexpr.parse};
+    [@name] references and [:view] names are single tokens; [//]
+    comments run to end of line. *)
 
 type token =
   | Id of string
@@ -43,6 +44,7 @@ let tokenize src =
     end
     else if c = '$' && peek 1 = Some '{' then begin
       (* Capture raw C expression, balancing braces. *)
+      let start = !line in
       let j = ref (!i + 2) in
       let depth = ref 1 in
       let buf = Buffer.create 32 in
@@ -55,7 +57,7 @@ let tokenize src =
         incr j
       done;
       if !depth > 0 then Ast.fail "line %d: unterminated ${...}" !line;
-      push (Cexpr (Buffer.contents buf));
+      toks := (Cexpr (Buffer.contents buf), start) :: !toks;
       i := !j
     end
     else if c = '@' then begin

@@ -50,7 +50,7 @@ let run_figs scenario =
 
 let expected =
   [ (Plain, "324f7e6af7718feba8703bcd09670927");
-    (Chaos, "84ae3364d5281b509e731f23948f4a4d");
+    (Chaos, "175fe6e5c9d90aa222dcd5fded0dd189");
     (Inject, "81c0d864d8b3760f4aafd644e3e50d37") ]
 
 let test_scenario scenario () =

@@ -9,9 +9,10 @@ let session () =
 
 (* Every library script is syntactically valid ViewCL (no kernel needed). *)
 let test_scripts_parse () =
+  let types = (Kcontext.create ()).Kcontext.reg in
   List.iter
     (fun (sc : Scripts.script) ->
-      match Viewcl.parse sc.Scripts.source with
+      match Viewcl.parse types sc.Scripts.source with
       | prog ->
           Alcotest.(check bool)
             (Printf.sprintf "fig %s has a plot statement" sc.Scripts.fig)
@@ -22,7 +23,7 @@ let test_scripts_parse () =
     Scripts.table2;
   List.iter
     (fun src ->
-      match Viewcl.parse src with
+      match Viewcl.parse types src with
       | _ -> ()
       | exception Viewcl.Error m -> Alcotest.failf "CVE script does not parse: %s" m)
     [ Scripts.cve_stackrot; Scripts.cve_dirtypipe ];
