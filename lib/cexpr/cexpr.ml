@@ -107,7 +107,7 @@ let tokenize src =
       i := !j + 1
     end
     else if c = '\'' then begin
-      if !i + 2 < n && src.[!i + 1] = '\\' && src.[!i + 3] = '\'' then begin
+      if !i + 3 < n && src.[!i + 1] = '\\' && src.[!i + 3] = '\'' then begin
         let ch =
           match src.[!i + 2] with
           | 'n' -> '\n' | 't' -> '\t' | '0' -> '\000' | c -> c

@@ -335,11 +335,11 @@ let mark_stale s ~pane =
   | _ -> ()
 
 (** vrefresh: incrementally re-plot a primary pane in place.  The pane's
-    plot cache carries every box of the previous extraction stamped with
-    the (page, generation) pairs it read; the re-plot adopts boxes whose
-    pages are untouched and re-extracts — in place, under the same box
-    ids — only those invalidated by kernel writes, then replays the
-    pane's ViewQL history.  Returns the ViewCL result and {!plot_stats}
+    plot cache carries the pane's parsed program and every box of the
+    previous extraction with the byte extents it read; the re-plot keeps
+    boxes whose bytes no write touched and re-extracts — in place, under
+    the same box ids — only the stale ones, then replays the pane's
+    ViewQL history.  Returns the ViewCL result and {!plot_stats}
     (same shape as {!vplot}); [None] for unknown/secondary panes or a
     dead link, which leaves the pane [STALE]. *)
 let vrefresh s ~pane =
