@@ -45,12 +45,13 @@ let test_parse_errors () =
       "define X as Box<t> [ Link a b ]"; "x = ${unclosed"; "yield ${1}" ];
   (* Errors no run would reach: each is reported at parse time, with its
      line. *)
-  let fails_at line src =
+  let fails_at ?says line src =
     match Viewcl.parse types src with
     | exception Viewcl.Error m ->
         let prefix = Printf.sprintf "line %d:" line in
         if not (String.starts_with ~prefix m) then
-          Alcotest.failf "error for %S does not name line %d: %s" src line m
+          Alcotest.failf "error for %S does not name line %d: %s" src line m;
+        Option.iter (fun says -> Alcotest.(check string) "error" (prefix ^ " " ^ says) m) says
     | _ -> Alcotest.failf "expected a line-%d parse error for %S" line src
   in
   fails_at 3
@@ -66,7 +67,37 @@ let test_parse_errors () =
      define Unused as Box<task_struct> [ Text x: ${@this->pid +} ]\n\
      plot D(${&init_task})\n";
   fails_at 2 "define D as Box<task_struct> [ Text pid ]\nplot D<task_struct>(${0})\n";
-  fails_at 1 "x = ${'\\n}\nplot @x\n"
+  fails_at 1 "x = ${'\\n}\nplot @x\n";
+  (* A name resolves where it is written: a definition sees [@this] and
+     its own bindings, never its caller's or the top level's; the error
+     names the line of the [define] or of the top-level statement. *)
+  let caller_binds_outer =
+    {|define Leaf as Box<task_struct> [
+  Text pid
+  Text tag: @outer
+]
+define Top as Box<task_struct> [
+  Text tgid
+  Link parent -> @p
+] where {
+  outer = ${42}
+  p = Leaf(${@this->real_parent})
+}
+plot Top(${task_of_pid(target_pid)})
+|}
+  in
+  let unbound name = "unbound reference @" ^ name in
+  fails_at ~says:(unbound "outer") 1 caller_binds_outer;
+  fails_at ~says:(unbound "outer") 2 ("outer = ${7}\n" ^ caller_binds_outer);
+  fails_at ~says:(unbound "nope") 2 "define D as Box<task_struct> [ Text pid ]\nplot D(@nope)\n";
+  fails_at ~says:(unbound "b") 2
+    "define D as Box<task_struct> [ Text pid ]\n\
+     define E as Box<task_struct> [ Text a: @a ] where {\n\
+    \  a = @b\n\
+    \  b = ${1}\n\
+     }\n";
+  fails_at ~says:(unbound "x") 2
+    "define D as Box<task_struct> [ Text pid ]\nplot D(@x)\nx = ${&init_task}\n"
 
 let test_loc_metric () =
   Alcotest.(check int) "comments and blanks don't count" 2
