@@ -235,12 +235,13 @@ let child_ids b =
   in
   List.rev_append from_views b.members
 
-(** Drop every box unreachable from the roots and the [keep] seeds over
-    {!child_ids}, keeping the [by_name] index coherent.  Returns the
-    removed ids, ascending.  The incremental re-plot calls this after
-    each run so boxes that fell out of the structure do not accumulate
-    (and skew {!box_count}/{!total_bytes}) across refreshes. *)
-let sweep g ~keep =
+(** Drop every box unreachable from the roots over {!child_ids},
+    keeping the [by_name] index coherent.  Returns the removed ids,
+    ascending.  The incremental re-plot calls this after each run so
+    boxes that fell out of the structure, or that only a discarded torn
+    attempt built, do not accumulate (and skew {!box_count} /
+    {!total_bytes}) across refreshes. *)
+let sweep g =
   let live = Hashtbl.create 64 in
   let rec mark id =
     if not (Hashtbl.mem live id) then
@@ -251,7 +252,6 @@ let sweep g ~keep =
       | None -> ()
   in
   List.iter mark g.roots;
-  List.iter mark keep;
   let dead =
     Hashtbl.fold
       (fun id b acc -> if Hashtbl.mem live id then acc else (id, b) :: acc)

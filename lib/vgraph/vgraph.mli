@@ -77,13 +77,13 @@ val set_roots : t -> box_id list -> unit
 (** Replace the root list wholesale — the rollback path of a re-plot
     whose run raised after {!clear_roots}. *)
 
-val sweep : t -> keep:box_id list -> box_id list
-(** [sweep g ~keep] removes every box unreachable from the roots and
-    the [keep] seeds over {!child_ids}, keeping the type index
-    ({!ids_of_type}) coherent, and returns the removed ids ascending.
-    Bounds the persistent re-plot graph: boxes that fell out of the
-    structure stop accumulating (and skewing {!box_count} /
-    {!total_bytes}) across refreshes. *)
+val sweep : t -> box_id list
+(** [sweep g] removes every box unreachable from the roots over
+    {!child_ids}, keeping the type index ({!ids_of_type}) coherent, and
+    returns the removed ids ascending.  Bounds the persistent re-plot
+    graph: boxes that fell out of the structure, or that only a
+    discarded torn attempt built, stop accumulating (and skewing
+    {!box_count} / {!total_bytes}) across refreshes. *)
 
 val reset_box : box -> unit
 (** Strip everything extraction produced — views, members, recorded

@@ -66,61 +66,41 @@ let rec cexpr_refs acc : Cexpr.expr -> string list = function
 
 module Names = Set.Make (String)
 
-(** The definitions whose boxes depend on nothing but their definition
-    and address.  A name resolves in the scope of the call, so a
-    definition that reads a binding it does not make itself — or calls
-    one that does before binding the name — depends on its caller's
-    scope too.  Free names are a least fixpoint over the call graph;
-    definitions sharing a name share their free names. *)
-let closed_defs defs =
-  let free = Hashtbl.create 16 in
-  let callee name = Option.value ~default:Names.empty (Hashtbl.find_opt free name) in
-  let refs bound names = Names.diff (Names.of_list names) bound in
-  let union f = List.fold_left (fun acc x -> Names.union acc (f x)) Names.empty in
+(** Names resolve where they are written.  [check_scope line bound s]
+    returns the top-level names bound after statement [s], given the
+    [bound] before it, and fails with [line N: unbound reference @name]
+    at the first [@name] (also one inside a [${...}]) that [s] reads out
+    of scope.  A definition's scope is [@this], then its box-level
+    where bindings in order, then each view's own, and its [forEach]
+    variables: no caller's binding and no top-level one reaches it. *)
+let check_scope line bound =
+  let use bound n = if not (Names.mem n bound) then fail "line %d: unbound reference @%s" line n in
   let rec expr bound = function
-    | Cexpr (_, ce) -> refs bound (cexpr_refs [] ce)
-    | Ref n -> refs bound [ n ]
-    | Apply { name; args; _ } -> Names.union (Names.diff (callee name) bound) (union (expr bound) args)
-    | Method { args; _ } -> union (expr bound) args
-    | For_each { src; var; body } -> Names.union (expr bound src) (stmts (Names.add var bound) body)
+    | Cexpr (_, ce) -> List.iter (use bound) (List.rev (cexpr_refs [] ce))
+    | Ref n -> use bound n
+    | Apply { args; _ } | Method { args; _ } -> List.iter (expr bound) args
+    | For_each { src; var; body } ->
+        expr bound src;
+        ignore (List.fold_left stmt (Names.add var bound) body)
     | Switch { scrutinee; cases; otherwise } ->
-        Names.union (expr bound scrutinee)
-          (union (fun (ks, e) -> Names.union (union (expr bound) ks) (expr bound e)) cases
-          |> Names.union (Option.fold ~none:Names.empty ~some:(expr bound) otherwise))
+        expr bound scrutinee;
+        List.iter (fun (ks, e) -> List.iter (expr bound) ks; expr bound e) cases;
+        Option.iter (expr bound) otherwise
     | Anon_box { items; where } -> scope bound where items
-    | Null_lit | Int_lit _ | Str_lit _ -> Names.empty
-  and stmts bound = function
-    | [] -> Names.empty
-    | Bind (n, e) :: rest -> Names.union (expr bound e) (stmts (Names.add n bound) rest)
-    | Yield e :: rest -> Names.union (expr bound e) (stmts bound rest)
+    | Null_lit | Int_lit _ | Str_lit _ -> ()
+  and stmt bound = function Bind b -> bind bound b | Yield e -> expr bound e; bound
   (* where-bindings evaluate in order, each seeing the ones before it *)
-  and bind bound where =
-    List.fold_left (fun (fv, b) (n, e) -> (Names.union fv (expr b e), Names.add n b)) (Names.empty, bound) where
-  and scope bound where items =
-    let fv, b = bind bound where in
-    Names.union fv (union (item b) items)
+  and bind bound (n, e) = expr bound e; Names.add n bound
+  and scope bound where items = List.iter (item (List.fold_left bind bound where)) items
   and item bound = function
     | I_text { specs; _ } ->
-        union (fun s -> match s.source with Path _ -> Names.empty | Texpr e -> expr bound e) specs
+        List.iter (fun s -> match s.source with Path _ -> () | Texpr e -> expr bound e) specs
     | I_link { target; _ } | I_container { target; _ } -> expr bound target
   in
-  let def d =
-    let fv, b = bind (Names.singleton "this") d.bwhere in
-    Names.union fv (union (fun v -> scope b v.vwhere v.vitems) d.bviews)
-  in
-  let rec fix () =
-    let changed =
-      List.fold_left
-        (fun changed d ->
-          let fv = Names.union (callee d.bname) (def d) in
-          if Names.equal fv (callee d.bname) then changed
-          else begin
-            Hashtbl.replace free d.bname fv;
-            true
-          end)
-        false defs
-    in
-    if changed then fix ()
-  in
-  fix ();
-  List.filter_map (fun d -> if Names.is_empty (callee d.bname) then Some d.bname else None) defs
+  function
+  | Define d ->
+      let b = List.fold_left bind (Names.singleton "this") d.bwhere in
+      List.iter (fun v -> scope b v.vwhere v.vitems) d.bviews;
+      bound
+  | Top_bind b -> bind bound b
+  | Plot e -> expr bound e; bound

@@ -70,8 +70,7 @@ type plot_cache = {
   pc_graph : Vgraph.t;
   pc_entries : (string * int, entry) Hashtbl.t;
   pc_by_box : (Vgraph.box_id, entry) Hashtbl.t;
-  mutable pc_program : string * program * string list;
-      (* the source last run, its parse and its {!Ast.closed_defs} *)
+  mutable pc_program : string * program;  (* the source last run and its parse *)
   pc_selected : (Vgraph.box_id, Vgraph.box_id * string) Hashtbl.t;
       (* [Array.selectFrom(seed, Def)] containers: their members come
          from the box graph under [seed], not from bytes *)
@@ -80,7 +79,7 @@ type plot_cache = {
 
 let create_cache () =
   { pc_graph = Vgraph.create (); pc_entries = Hashtbl.create 256;
-    pc_by_box = Hashtbl.create 256; pc_program = ("", [], []);
+    pc_by_box = Hashtbl.create 256; pc_program = ("", []);
     pc_selected = Hashtbl.create 4; pc_run = 0 }
 
 let cache_boxes c = Hashtbl.fold (fun id _ acc -> id :: acc) c.pc_by_box [] |> List.sort compare
@@ -687,12 +686,7 @@ and eval_apply st env name anchor args =
               (* container_of through the anchor path *)
               addr - Ctype.offsetof (Target.types st.tgt) ty field
         in
-        match cached_box st name def addr with
-        | Some v -> v
-        | None ->
-            let this = Vtgt (Target.obj (Ctype.Named def.bctype) addr) in
-            build_box st (("this", this) :: env) ~def ~bdef:name ~btype:def.bctype ~addr
-              ~views:def.bviews ~bwhere:def.bwhere
+        match cached_box st name def addr with Some v -> v | None -> build_def st name def addr
       end)
   | None -> (
       (* Bare container constructors used without forEach: produce a plain
@@ -741,31 +735,27 @@ and keep st e =
           end
      end
 
-(* Rebuild a stale memoized box in place from its definition and
-   address alone — the memo's premise.  Only a closed definition
-   ({!Ast.closed_defs}) can be: any other reads a name from its
-   caller's scope, so the caller rebuilds instead, and false says so. *)
+(* A definition's box depends on nothing but the definition, its
+   address and the bytes it reads: its scope is [@this] and its own
+   bindings ({!Ast.check_scope}).  So a stale memoized box rebuilds in
+   place from its entry alone. *)
+and build_def st name def addr =
+  let this = Vtgt (Target.obj (Ctype.Named def.bctype) addr) in
+  build_box st [ ("this", this) ] ~def ~bdef:name ~btype:def.bctype ~addr ~views:def.bviews
+    ~bwhere:def.bwhere
+
 and rebuild st e =
-  let d = e.e_def and addr = (Vgraph.get st.graph e.e_box).Vgraph.addr in
-  let _, _, closed_names = st.cache.pc_program in
-  let closed = List.mem e.e_name closed_names in
-  if closed then begin
-    invalidated st;
-    let this = Vtgt (Target.obj (Ctype.Named d.bctype) addr) in
-    ignore (build_box ~def:d st [ ("this", this) ] ~bdef:e.e_name ~btype:d.bctype ~addr
-              ~views:d.bviews ~bwhere:d.bwhere)
-  end
-  else e.e_run <- 0;
-  closed
+  invalidated st;
+  ignore (build_def st e.e_name e.e_def (Vgraph.get st.graph e.e_box).Vgraph.addr)
 
 (* Bring the children of a kept box up to date: a child entry with
    unchanged bytes is kept in turn, a stale one rebuilt in place.  A
    plain container's members were read by the box that built it, so a
    kept box vouches for them and the walk goes through.  False when the
    kept box must be rebuilt after all: a child's definition changed, a
-   child could not be rebuilt on its own, a child is an anonymous box
-   (its reads are recorded nowhere), or an [Array.selectFrom] container
-   no longer matches the graph it selects from. *)
+   child is an anonymous box (its reads are recorded nowhere), or an
+   [Array.selectFrom] container no longer matches the graph it selects
+   from. *)
 and revisit st b = List.for_all (visit st) (Vgraph.child_ids b)
 
 and visit st id =
@@ -773,7 +763,9 @@ and visit st id =
   | Some c when c.e_run = st.cache.pc_run -> true
   | Some c -> (
       match Hashtbl.find_opt st.defs c.e_name with
-      | Some d when d == c.e_def -> keep st c || rebuild st c
+      | Some d when d == c.e_def ->
+          if not (keep st c) then rebuild st c;
+          true
       | Some _ | None -> false)
   | None -> (
       match (Vgraph.find st.graph id, Hashtbl.find_opt st.cache.pc_selected id) with
@@ -1017,17 +1009,12 @@ let run_exn ~cfg cache tgt program =
         the next plot of the pane starts cold. *)
      Vgraph.set_roots cache.pc_graph saved_roots;
      raise e);
-  (* Sweep: a box this run neither plotted nor evaluated — unreachable
-     from the new roots and not stamped with the current run — is dead
-     weight from earlier runs.  Dropping dead boxes (and their memo
-     entries) bounds the persistent graph and the cache by the live
-     plot, instead of accumulating every box ever extracted. *)
-  let keep =
-    Hashtbl.fold
-      (fun id e acc -> if e.e_run = cache.pc_run then id :: acc else acc)
-      cache.pc_by_box []
-  in
-  (match Vgraph.sweep st.graph ~keep with
+  (* Sweep: a box the new roots do not reach is dead weight, whether an
+     earlier run built it or only a discarded torn attempt of this one.
+     Dropping dead boxes (and their memo entries) bounds the persistent
+     graph and the cache by the live plot, instead of accumulating every
+     box ever extracted. *)
+  (match Vgraph.sweep st.graph with
   | [] -> ()
   | removed ->
       let dead = Hashtbl.create 16 in
@@ -1053,11 +1040,10 @@ let run ?(cfg = default_config) ?cache tgt src =
   let cache = match cache with Some c -> c | None -> create_cache () in
   let program =
     match cache.pc_program with
-    | last, program, _ when last = src -> program
+    | last, program when last = src -> program
     | _ ->
         let program = Parser.parse_program (Target.types tgt) src in
-        let defs = List.filter_map (function Define d -> Some d | _ -> None) program in
-        cache.pc_program <- (src, program, closed_defs defs);
+        cache.pc_program <- (src, program);
         program
   in
   try run_exn ~cfg cache tgt program with Invalid_argument m -> fail "%s" m

@@ -329,21 +329,23 @@ let parse_define st =
       Define { bname; bctype; bviews = List.rev !views; bwhere }
   | t -> fail "line %d: expected '[' or '{' in define, got %s" (line st) (Lexer.pp_token t)
 
+(* Each statement is scope-checked as it is parsed: [bound] holds the
+   top-level bindings made so far. *)
 let parse_program reg src =
   let st = { reg; toks = Lexer.tokenize src } in
-  let rec go acc =
+  let rec go bound acc =
+    let at = line st in
+    let next s = go (check_scope at bound s) (s :: acc) in
     match tok st with
     | Lexer.Eof -> List.rev acc
-    | Lexer.Id "define" -> go (parse_define st :: acc)
+    | Lexer.Id "define" -> next (parse_define st)
     | Lexer.Id "plot" ->
         advance st;
-        let e = parse_expr st in
-        go (Plot e :: acc)
+        next (Plot (parse_expr st))
     | Lexer.Id name when (match st.toks with _ :: (Lexer.Punct "=", _) :: _ -> true | _ -> false) ->
         advance st;
         advance st;
-        let e = parse_expr st in
-        go (Top_bind (name, e) :: acc)
+        next (Top_bind (name, parse_expr st))
     | t -> fail "line %d: expected define/binding/plot, got %s" (line st) (Lexer.pp_token t)
   in
-  go []
+  go Names.empty []

@@ -25,7 +25,12 @@
     sequences. [switch ${e} { case ${v}: ... otherwise: ... }] handles
     unions and polymorphic pointers; Text decorators (Table 1) control
     formatting ([<u64:x>], [<string>], [<enum:t>], [<flag:id>], [<fptr>],
-    [<emoji:id>], ...). *)
+    [<emoji:id>], ...).
+
+    A name resolves where it is written: a definition sees [@this], its
+    own [where] bindings and its [forEach] variables, never its
+    caller's or the top level's; a top-level statement sees the
+    top-level bindings made before it. *)
 
 module Ast = Ast
 module Dpool = Dpool
@@ -45,7 +50,9 @@ val default_config : config
 
 val parse : Ctype.registry -> string -> Ast.program
 (** Parse a program and each of its [${...}], whose casts name types of
-    the registry.  @raise Error on malformed input, at its line. *)
+    the registry.  @raise Error on malformed input, at its line, and on
+    an unbound reference ([line N: unbound reference @name], N the line
+    of the [define] or top-level statement that reads it). *)
 
 type cache = Interp.plot_cache
 (** The cross-run box memo behind incremental re-plots: the program it

@@ -441,53 +441,6 @@ let test_log_overflow_falls_back_to_pages () =
   Alcotest.(check bool) "the leaf is rebuilt at page granularity" true
     (List.mem tb.leaf.Vgraph.id (refreshed tb))
 
-(* A stale box is rebuilt from its definition and address alone; one
-   whose definition reads a binding of its caller cannot be, so its
-   caller is rebuilt instead, and the pane still equals a cold plot.
-   [prelude] is prepended to the program: with a top-level [outer] the
-   caller's own [outer] shadows it, and a rebuild of the leaf on its own
-   would silently read the top-level value. *)
-let caller_binding_rebuilds_the_caller ~prelude () =
-  let k, _, s = session () in
-  let src =
-    prelude
-    ^ {|define Leaf as Box<task_struct> [
-  Text pid
-  Text tag: @outer
-]
-define Top as Box<task_struct> [
-  Text tgid
-  Link parent -> @p
-] where {
-  outer = ${42}
-  p = Leaf(${@this->real_parent})
-}
-plot Top(${task_of_pid(target_pid)})
-|}
-  in
-  let pane, res0, _ = Visualinux.vplot s src in
-  let leaf = List.find (fun b -> b.Vgraph.bdef = "Leaf") (Vgraph.boxes res0.Viewcl.graph) in
-  let top = List.find (fun b -> b.Vgraph.bdef = "Top") (Vgraph.boxes res0.Viewcl.graph) in
-  let a =
-    leaf.Vgraph.addr + Ctype.offsetof (Target.types s.Visualinux.target) "task_struct" "pid"
-  in
-  let mem = k.Kstate.ctx.Kcontext.mem in
-  Kmem.write_u8 mem a (Kmem.read_u8 mem a);
-  match Visualinux.vrefresh s ~pane:pane.Panel.pid with
-  | None -> Alcotest.fail "vrefresh failed"
-  | Some (res, _) ->
-      Alcotest.(check (list int)) "the leaf and its caller rebuilt"
-        (List.sort compare [ top.Vgraph.id; leaf.Vgraph.id ])
-        res.Viewcl.rebuilt;
-      Alcotest.(check string) "warm refresh == cold plot"
-        (Render.canonical (cold_plot ~target_pid:s.Visualinux.target_pid k src))
-        (Render.canonical res.Viewcl.graph)
-
-let test_caller_binding_rebuilds_the_caller = caller_binding_rebuilds_the_caller ~prelude:""
-
-let test_shadowed_top_binding_rebuilds_the_caller =
-  caller_binding_rebuilds_the_caller ~prelude:"outer = ${7}\n"
-
 (* An [@] inside a C string literal names nothing: the leaf stays closed
    and a write to its bytes rebuilds the leaf alone, not its caller. *)
 let test_string_literal_is_not_a_name () =
@@ -561,10 +514,6 @@ let suite =
       test_leaf_write_rebuilds_only_the_leaf;
     Alcotest.test_case "write-log overflow falls back to pages" `Quick
       test_log_overflow_falls_back_to_pages;
-    Alcotest.test_case "a caller's binding rebuilds the caller" `Quick
-      test_caller_binding_rebuilds_the_caller;
-    Alcotest.test_case "a caller's binding shadowing a top-level one rebuilds the caller"
-      `Quick test_shadowed_top_binding_rebuilds_the_caller;
     Alcotest.test_case "an @ in a C string literal is not a free name" `Quick
       test_string_literal_is_not_a_name;
     Alcotest.test_case "a helper's read is part of its box's extents" `Quick

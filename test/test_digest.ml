@@ -50,7 +50,7 @@ let run_figs scenario =
 
 let expected =
   [ (Plain, "324f7e6af7718feba8703bcd09670927");
-    (Chaos, "175fe6e5c9d90aa222dcd5fded0dd189");
+    (Chaos, "049e22933dcc850407aca8748f347f4c");
     (Inject, "81c0d864d8b3760f4aafd644e3e50d37") ]
 
 let test_scenario scenario () =

@@ -194,7 +194,8 @@ let test_chaos_deterministic () =
 (* A top-level container walk builds in a consistent section too: over
    chaos seeds 1-40, a 17-1 plot made while the writer is armed either
    equals a replot made right after it, with the writer disarmed, or
-   reports a tear. *)
+   reports a tear; and a box only a discarded torn attempt built is
+   swept, so the plot holds exactly its roots' closure. *)
 let test_top_level_walk_tears () =
   let src = (Option.get (Scripts.find "17-1")).Scripts.source in
   for seed = 1 to 40 do
@@ -204,6 +205,10 @@ let test_top_level_walk_tears () =
     Workload.Chaos.arm c tgt;
     let armed = Viewcl.run ~cfg:s.Visualinux.cfg tgt src in
     Workload.Chaos.disarm tgt;
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: every box is reachable from a root" seed)
+      (Vgraph.box_count (Vgraph.renumber armed.Viewcl.graph))
+      (Vgraph.box_count armed.Viewcl.graph);
     let quiet = Viewcl.run ~cfg:s.Visualinux.cfg tgt src in
     if Render.canonical armed.Viewcl.graph <> Render.canonical quiet.Viewcl.graph then
       Alcotest.(check bool)
