@@ -9,21 +9,30 @@ type addr = Kmem.addr
 type t = {
   mem : Kmem.t;
   reg : Ctype.registry;
-  off_cache : (string * string, int) Hashtbl.t;
+  off_cache : (string, (string, int) Hashtbl.t) Hashtbl.t;  (* composite -> path -> offset *)
   strings : (string, addr) Hashtbl.t;
 }
 
 let create () =
   let reg = Ctype.create_registry () in
   Ktypes.define_all reg;
-  { mem = Kmem.create (); reg; off_cache = Hashtbl.create 512; strings = Hashtbl.create 64 }
+  { mem = Kmem.create (); reg; off_cache = Hashtbl.create 128; strings = Hashtbl.create 64 }
 
+(* Two [Hashtbl.find]s and no allocation once a field has been seen. *)
 let off ctx comp path =
-  match Hashtbl.find_opt ctx.off_cache (comp, path) with
-  | Some o -> o
-  | None ->
+  let paths =
+    match Hashtbl.find ctx.off_cache comp with
+    | t -> t
+    | exception Not_found ->
+        let t = Hashtbl.create 16 in
+        Hashtbl.add ctx.off_cache comp t;
+        t
+  in
+  match Hashtbl.find paths path with
+  | o -> o
+  | exception Not_found ->
       let o = Ctype.offsetof ctx.reg comp path in
-      Hashtbl.add ctx.off_cache (comp, path) o;
+      Hashtbl.add paths path o;
       o
 
 let sizeof ctx name = Ctype.sizeof ctx.reg (Ctype.Named name)

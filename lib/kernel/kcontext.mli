@@ -9,7 +9,7 @@ type addr = Kmem.addr
 type t = {
   mem : Kmem.t;
   reg : Ctype.registry;
-  off_cache : (string * string, int) Hashtbl.t;
+  off_cache : (string, (string, int) Hashtbl.t) Hashtbl.t;  (** composite -> path -> offset *)
   strings : (string, addr) Hashtbl.t;
 }
 

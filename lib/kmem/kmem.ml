@@ -22,6 +22,9 @@ let chunk_size = 1 lsl chunk_bits
 
 type t = {
   chunks : (int, Bytes.t) Hashtbl.t;
+  (* the last chunk found in [chunks]; index -1 (no chunk's) until then *)
+  mutable last_idx : int;
+  mutable last : Bytes.t;
   (* Allocations indexed by 4KiB-page so that point queries are O(pages
      spanned), not O(allocations). *)
   by_page : (int, allocation list ref) Hashtbl.t;
@@ -50,9 +53,15 @@ type t = {
   mutable poisoned : (addr * int) list;
 }
 
+(* What every absent chunk reads as.  Never written and never the
+   cached chunk, so a read never materializes a chunk. *)
+let zero_chunk = Bytes.make chunk_size '\000'
+
 let create () =
   {
     chunks = Hashtbl.create 64;
+    last_idx = -1;
+    last = zero_chunk;
     by_page = Hashtbl.create 256;
     cursor = kernel_base;
     live = 0;
@@ -71,15 +80,38 @@ let create () =
     poisoned = [];
   }
 
-(* Reads never insert: an absent chunk is all-zero by construction. *)
-let chunk_for_write mem a =
-  let idx = a lsr chunk_bits in
-  match Hashtbl.find_opt mem.chunks idx with
-  | Some b -> b
-  | None ->
-      let b = Bytes.make chunk_size '\000' in
-      Hashtbl.add mem.chunks idx b;
-      b
+let off_mask = chunk_size - 1
+
+(* Chunk [idx] for reading: the cached one, else the table's, else the
+   zero chunk (not cached, not inserted). *)
+let chunk mem idx =
+  if idx = mem.last_idx then mem.last
+  else
+    match Hashtbl.find mem.chunks idx with
+    | b ->
+        mem.last_idx <- idx;
+        mem.last <- b;
+        b
+    | exception Not_found -> zero_chunk
+
+(* Chunk [idx] for writing: the only path that inserts one. *)
+let chunk_for_write mem idx =
+  let b = chunk mem idx in
+  if b != zero_chunk then b
+  else begin
+    Hashtbl.add mem.chunks idx (Bytes.make chunk_size '\000');
+    chunk mem idx
+  end
+
+(* [f idx off p len] on each piece [\[p, p+len)] of [\[a, a+n)] that
+   lies in one chunk, in address order: chunk [idx] from offset [off]. *)
+let rec spans a n f =
+  if n > 0 then begin
+    let off = a land off_mask in
+    let len = Int.min n (chunk_size - off) in
+    f (a lsr chunk_bits) off a len;
+    spans (a + len) (n - len) f
+  end
 
 let page_bits = 12
 
@@ -221,33 +253,33 @@ let alloc mem ?(align = 16) ~tag size =
   touch mem base size;
   base
 
-let alloc_of mem a =
-  match Hashtbl.find_opt mem.by_page (a lsr page_bits) with
-  | None -> None
-  | Some r -> List.find_opt (fun al -> a >= al.base && a < al.base + al.size) !r
+let rec holding a = function
+  | [] -> raise_notrace Not_found
+  | al :: rest -> if a >= al.base && a < al.base + al.size then al else holding a rest
+
+(* The allocation [a] lies in.  @raise Not_found if none. *)
+let alloc_of mem a = holding a !(Hashtbl.find mem.by_page (a lsr page_bits))
 
 let find_alloc mem a =
-  match alloc_of mem a with None -> None | Some al -> Some (al.base, al.size, al.tag)
+  match alloc_of mem a with al -> Some (al.base, al.size, al.tag) | exception Not_found -> None
 
 let is_live mem a =
-  match alloc_of mem a with Some { state = Live; _ } -> true | _ -> false
+  match alloc_of mem a with { state = Live; _ } -> true | _ | (exception Not_found) -> false
 
 let poison_byte = '\x6b'
 
 let free mem a =
   match alloc_of mem a with
-  | Some ({ state = Live; _ } as al) when al.base = a ->
+  | { state = Live; _ } as al when al.base = a ->
       al.state <- Freed;
       mem.live <- mem.live - 1;
       mem.live_bytes <- mem.live_bytes - al.size;
       touch mem a al.size;
-      for i = 0 to al.size - 1 do
-        let p = a + i in
-        Bytes.set (chunk_for_write mem p) (p land (chunk_size - 1)) poison_byte
-      done
-  | Some { state = Freed; _ } -> invalid_arg "Kmem.free: double free"
-  | Some _ -> invalid_arg "Kmem.free: not an allocation base address"
-  | None -> invalid_arg "Kmem.free: wild free"
+      spans a al.size (fun idx off _ len ->
+          Bytes.fill (chunk_for_write mem idx) off len poison_byte)
+  | { state = Freed; _ } -> invalid_arg "Kmem.free: double free"
+  | _ -> invalid_arg "Kmem.free: not an allocation base address"
+  | exception Not_found -> invalid_arg "Kmem.free: wild free"
 
 let record_fault mem f =
   mem.nfaults <- mem.nfaults + 1;
@@ -279,8 +311,12 @@ let clear_injection mem =
    injection is live, keeping injected runs byte-for-byte reproducible. *)
 let injection_active mem = mem.inj_rate > 0. || mem.poisoned <> []
 
+let rec overlaps a n = function
+  | [] -> false
+  | (b, len) :: rest -> (a < b + len && b < a + n) || overlaps a n rest
+
 let injected mem a n =
-  let ranged = List.exists (fun (b, len) -> a < b + len && b < a + n) mem.poisoned in
+  let ranged = overlaps a n mem.poisoned in
   let random =
     mem.inj_rate > 0.
     && begin
@@ -309,40 +345,53 @@ let note_read mem a n =
   if a < kernel_base then record_fault mem (Wild_access a)
   else
     match alloc_of mem a with
-    | Some { state = Freed; base; tag; _ } ->
+    | { state = Freed; base; tag; _ } ->
         record_fault mem (Use_after_free { obj = base; tag; at = a })
-    | Some { state = Live; _ } | None -> ()
+    | { state = Live; _ } | (exception Not_found) -> ()
 
-let get mem a =
-  match Hashtbl.find_opt mem.chunks (a lsr chunk_bits) with
-  | Some b -> Char.code (Bytes.get b (a land (chunk_size - 1)))
-  | None -> 0
-
+let get mem a = Bytes.get_uint8 (chunk mem (a lsr chunk_bits)) (a land off_mask)
 let set mem a v =
-  Bytes.set (chunk_for_write mem a) (a land (chunk_size - 1)) (Char.chr (v land 0xff))
+  Bytes.set_uint8 (chunk_for_write mem (a lsr chunk_bits)) (a land off_mask) (v land 0xff)
 
-let read_u8 mem a =
-  note_read mem a 1;
-  if injected mem a 1 then poison_value 1 else get mem a
-
+(* An [n]-byte little-endian word ([n] = 1, 2, 4 or 8) in one chunk
+   access; only a word that straddles a chunk edge goes byte by byte.
+   Values are 63-bit native ints: a u64 load keeps the stored word's low
+   63 bits (bit 63 dropped), a u64 store writes [v]'s 63 bits with bit
+   63 clear, so every int round-trips. *)
 let read_le mem a n =
   note_read mem a n;
+  let off = a land off_mask in
   if injected mem a n then poison_value n
+  else if off + n <= chunk_size then
+    let b = chunk mem (a lsr chunk_bits) in
+    match n with
+    | 1 -> Bytes.get_uint8 b off
+    | 2 -> Bytes.get_uint16_le b off
+    | 4 -> Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff
+    | _ -> Int64.to_int (Bytes.get_int64_le b off)
   else
     let rec go i acc = if i < 0 then acc else go (i - 1) ((acc lsl 8) lor get mem (a + i)) in
     go (n - 1) 0
 
+let write_le mem a n v =
+  touch mem a n;
+  let off = a land off_mask in
+  if off + n <= chunk_size then
+    let b = chunk_for_write mem (a lsr chunk_bits) in
+    match n with
+    | 1 -> Bytes.set_uint8 b off (v land 0xff)
+    | 2 -> Bytes.set_uint16_le b off (v land 0xffff)
+    | 4 -> Bytes.set_int32_le b off (Int32.of_int v)
+    | _ -> Bytes.set_int64_le b off (Int64.logand (Int64.of_int v) Int64.max_int)
+  else
+    for i = 0 to n - 1 do
+      set mem (a + i) ((v lsr (8 * i)) land 0xff)
+    done
+
+let read_u8 mem a = read_le mem a 1
 let read_u16 mem a = read_le mem a 2
 let read_u32 mem a = read_le mem a 4
-
-let read_u64 mem a =
-  (* Native ints are 63-bit; our simulated addresses and values stay well
-     below 2^62, so a 64-bit field is read as low 62 bits + sign-safe top. *)
-  note_read mem a 8;
-  if injected mem a 8 then poison_value 8
-  else
-    let rec go i acc = if i < 0 then acc else go (i - 1) ((acc lsl 8) lor get mem (a + i)) in
-    go 7 0
+let read_u64 mem a = read_le mem a 8
 
 let sign_extend v bits =
   let m = 1 lsl (bits - 1) in
@@ -352,42 +401,38 @@ let read_i8 mem a = sign_extend (read_u8 mem a) 8
 let read_i16 mem a = sign_extend (read_u16 mem a) 16
 let read_i32 mem a = sign_extend (read_u32 mem a) 32
 
+(* The [n] bytes at [a], one blit per chunk. *)
+let copy mem a n =
+  let buf = Bytes.create n in
+  spans a n (fun idx off p len -> Bytes.blit (chunk mem idx) off buf (p - a) len);
+  Bytes.unsafe_to_string buf
+
 let read_bytes mem a n =
   note_read mem a n;
-  if injected mem a n then String.make n poison_byte
-  else String.init n (fun i -> Char.chr (get mem (a + i)))
+  if injected mem a n then String.make n poison_byte else copy mem a n
+
+(* Bytes before the first NUL in [\[a, a+max)], scanned chunk by chunk. *)
+let rec strlen mem a max =
+  let off = a land off_mask in
+  let b = chunk mem (a lsr chunk_bits) and len = Int.min max (chunk_size - off) in
+  let rec scan i = if i < len && Bytes.get b (off + i) <> '\000' then scan (i + 1) else i in
+  let n = scan 0 in
+  if n < len || len >= max then n else n + strlen mem (a + n) (max - n)
 
 let read_cstring mem ?(max = 256) a =
   note_read mem a max;
   if injected mem a max then String.make (min max 8) poison_byte
-  else
-  let buf = Buffer.create 16 in
-  let rec go i =
-    if i < max then
-      let c = get mem (a + i) in
-      if c <> 0 then (
-        Buffer.add_char buf (Char.chr c);
-        go (i + 1))
-  in
-  go 0;
-  Buffer.contents buf
+  else copy mem a (strlen mem a max)
 
-let write_u8 mem a v =
-  touch mem a 1;
-  set mem a v
-
-let write_le mem a n v =
-  touch mem a n;
-  for i = 0 to n - 1 do
-    set mem (a + i) ((v lsr (8 * i)) land 0xff)
-  done
-
+let write_u8 mem a v = write_le mem a 1 v
 let write_u16 mem a v = write_le mem a 2 v
 let write_u32 mem a v = write_le mem a 4 v
 let write_u64 mem a v = write_le mem a 8 v
+
 let write_bytes mem a s =
   touch mem a (String.length s);
-  String.iteri (fun i c -> set mem (a + i) (Char.code c)) s
+  spans a (String.length s) (fun idx off p len ->
+      Bytes.blit_string s (p - a) (chunk_for_write mem idx) off len)
 
 let write_cstring mem a ?field_size s =
   let s =

@@ -6,6 +6,15 @@
     memory through address-based reads, exactly as GDB sees a remote
     target.
 
+    The bytes live in 64 KiB chunks, each created by the first write
+    into it; a chunk nothing wrote reads as zeros, and a read never
+    creates one.  The last chunk found is cached, so an access costs an
+    integer compare (a table lookup on a miss) and one word load or
+    store; only an access that straddles a chunk edge goes byte by byte,
+    and [free]'s poison, {!write_bytes} and {!read_bytes} go a chunk at a
+    time.  An access allocates nothing unless it records a fault or
+    calls an observer ({!observing}).
+
     Freed objects are poisoned (every byte set to [0x6b], mirroring the
     kernel's [POISON_FREE]) and reads from them are recorded as
     use-after-free events rather than crashing, so that UAF bugs such as
@@ -63,6 +72,11 @@ val read_u8 : t -> addr -> int
 val read_u16 : t -> addr -> int
 val read_u32 : t -> addr -> int
 val read_u64 : t -> addr -> int
+(** The stored 64-bit word's low 63 bits, as a native int: bit 63 is
+    dropped and bit 62 becomes the sign.  With {!write_u64}'s bit-63
+    clear every int round-trips, but a word whose bit 63 is set (a real
+    x86-64 kernel pointer, [ULONG_MAX]) cannot be represented; full
+    64-bit values are ROADMAP item 11, stage 2. *)
 
 val read_i8 : t -> addr -> int
 val read_i16 : t -> addr -> int
@@ -77,6 +91,10 @@ val write_u8 : t -> addr -> int -> unit
 val write_u16 : t -> addr -> int -> unit
 val write_u32 : t -> addr -> int -> unit
 val write_u64 : t -> addr -> int -> unit
+(** Stores [v]'s 63 bits with bit 63 of the word clear (so [-1] stores
+    [0x7fff_ffff_ffff_ffff]); see {!read_u64}.  The narrower writers
+    store [v]'s low 8, 16 or 32 bits. *)
+
 val write_bytes : t -> addr -> string -> unit
 
 val write_cstring : t -> addr -> ?field_size:int -> string -> unit

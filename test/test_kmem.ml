@@ -211,15 +211,224 @@ let prop_write_read =
       Kmem.write_bytes m (a + off) data;
       Kmem.read_bytes m (a + off) (String.length data) = data)
 
-(* Property: u64 roundtrip for arbitrary non-negative ints. *)
+(* Property: u64 roundtrip for every int, negatives included (a u64
+   store keeps the int's 63 bits and clears bit 63). *)
 let prop_u64_roundtrip =
   QCheck.Test.make ~name:"u64 write/read roundtrip" ~count:100
-    QCheck.(int_bound max_int)
+    QCheck.int
     (fun v ->
       let m = Kmem.create () in
       let a = Kmem.alloc m ~tag:"w" 8 in
       Kmem.write_u64 m a v;
       Kmem.read_u64 m a = v)
+
+let chunk = 65536
+
+(* A read of a chunk nothing wrote is all zeros and materializes no
+   chunk (no 64 KiB allocation), whichever chunk the last access served;
+   a write after such a read lands and reads back. *)
+let test_zero_chunk () =
+  let m = Kmem.create () in
+  let a = Kmem.alloc m ~tag:"four chunks" (4 * chunk) in
+  let c1 = ((a / chunk) + 1) * chunk in
+  let c2 = c1 + chunk and c3 = c1 + (2 * chunk) in
+  Alcotest.(check int) "untouched chunk reads 0" 0 (Kmem.read_u64 m (c1 + 8));
+  Kmem.write_u64 m (c1 + 8) 0x1234;
+  Alcotest.(check int) "a write after the read reads back" 0x1234 (Kmem.read_u64 m (c1 + 8));
+  let major () =
+    let _, _, w = Gc.counters () in
+    w
+  in
+  let seen = ref 0 in
+  let w0 = major () in
+  for i = 0 to 999 do
+    (* alternate with the written chunk so the cache serves each in turn *)
+    seen := !seen lor Kmem.read_u64 m (c2 + (8 * i)) lor Kmem.read_u32 m (c3 - 2);
+    ignore (Kmem.read_u64 m (c1 + 8));
+    seen := !seen lor Kmem.read_u8 m (c3 + i) lor String.length (Kmem.read_cstring m (c2 + i))
+  done;
+  let w1 = major () in
+  Alcotest.(check int) "untouched memory reads 0" 0 !seen;
+  Alcotest.(check bool) "reads materialize no chunk" true (w1 -. w0 < float_of_int (chunk / 8));
+  Kmem.write_u8 m c3 1;
+  Alcotest.(check bool) "a write does (the probe sees one)" true
+    (major () -. w1 >= float_of_int (chunk / 8));
+  Alcotest.(check int) "its byte" 1 (Kmem.read_u8 m c3);
+  Alcotest.(check int) "the chunk before it still reads 0" 0 (Kmem.read_u64 m (c3 - 8))
+
+(* The allocation gate: with no observer and no injection, a word store
+   allocates nothing and a word load at most 2 words. *)
+let test_word_access_allocation () =
+  let m = Kmem.create () in
+  let a = Kmem.alloc m ~tag:"obj" 64 in
+  Kmem.write_u64 m a 0;
+  let sink = ref 0 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  let n = 10_000 in
+  let w = words (fun () -> for i = 1 to n do Kmem.write_u64 m (a + (8 * (i land 7))) i done) in
+  let r =
+    words (fun () ->
+        for i = 1 to n do
+          sink := !sink + Kmem.read_u64 m (a + (8 * (i land 7)))
+        done)
+  in
+  Alcotest.(check int) "write_u64 words per access" 0 (w / n);
+  Alcotest.(check bool) (Printf.sprintf "read_u64 %d words per access <= 2" (r / n)) true
+    (r <= 2 * n)
+
+(* Booting and running the evaluation workload's 200 steps (the
+   benchmark's set-up kernel) allocates at most 10M minor words. *)
+let test_workload_allocation () =
+  let w0 = Gc.minor_words () in
+  let w = Workload.create ~seed:7 (Kstate.boot ()) in
+  Workload.run ~iters:200 w;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 10M" words) true (words <= 10e6)
+
+(* Differential property: random stores, frees and loads of every width
+   and kind, at addresses clustered on two 64 KiB chunk edges, against a
+   plain byte array holding the byte semantics (little-endian; an
+   [n]-byte store keeps [v]'s low [8n] bits of its 63; a load folds the
+   bytes into an int, so a u64 drops bit 63). *)
+type op =
+  | Store of int * int * int  (** width, offset, value *)
+  | Store_bytes of int * string
+  | Store_cstring of int * int option * string
+  | Free of int  (** object index *)
+  | Load of int * bool * int  (** width, signed, offset *)
+  | Load_bytes of int * int
+  | Load_cstring of int * int  (** offset, max *)
+
+let show_op = function
+  | Store (n, o, v) -> Printf.sprintf "store%d %d %d" n o v
+  | Store_bytes (o, s) -> Printf.sprintf "store_bytes %d %S" o s
+  | Store_cstring (o, f, s) ->
+      Printf.sprintf "store_cstring %d %s %S" o
+        (match f with Some n -> string_of_int n | None -> "-")
+        s
+  | Free i -> Printf.sprintf "free #%d" i
+  | Load (n, sg, o) -> Printf.sprintf "load%s%d %d" (if sg then "i" else "u") n o
+  | Load_bytes (o, n) -> Printf.sprintf "load_bytes %d %d" o n
+  | Load_cstring (o, n) -> Printf.sprintf "load_cstring %d max %d" o n
+
+(* The arena: 32 bytes before a chunk edge to 32 past the next one,
+   tiled by one 64-byte object then sixteen 4 KiB ones, so the first and
+   the last object each straddle an edge. *)
+let arena_objs = 64 :: List.init 16 (fun _ -> 4096)
+let arena = List.fold_left ( + ) 0 arena_objs
+let edges = [ 32; 32 + chunk ]
+
+let gen_op =
+  let open QCheck.Gen in
+  let off width =
+    let* o =
+      frequency
+        [ (3, map2 (fun e d -> e + d) (oneofl edges) (int_range (-12) 12));
+          (1, int_bound (arena - 1)) ]
+    in
+    return (max 0 (min o (arena - width)))
+  in
+  let value = oneof [ int; small_signed_int; oneofl [ min_int; max_int; -1; 0 ] ] in
+  let str = string_size ~gen:(oneofl [ 'a'; 'Z'; '\000'; '\xff' ]) (int_range 0 24) in
+  frequency
+    [ (4, let* n = oneofl [ 1; 2; 4; 8 ] in map2 (fun o v -> Store (n, o, v)) (off n) value);
+      (1, let* s = str in map (fun o -> Store_bytes (o, s)) (off (String.length s)));
+      ( 1,
+        let* s = str and* f = opt (int_range 1 24) in
+        map (fun o -> Store_cstring (o, f, s)) (off (String.length s + 1)) );
+      (1, map (fun i -> Free i) (int_bound (List.length arena_objs - 1)));
+      ( 4,
+        let* n = oneofl [ 1; 2; 4; 8 ] and* sg = bool in
+        map (fun o -> Load (n, sg && n < 8, o)) (off n) );
+      (1, let* n = int_range 0 40 in map (fun o -> Load_bytes (o, n)) (off n));
+      (1, let* n = int_range 0 40 in map (fun o -> Load_cstring (o, n)) (off n)) ]
+
+let prop_differential =
+  QCheck.Test.make ~name:"word access matches a byte-array model across chunk edges" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_op))
+    (fun ops ->
+      let m = Kmem.create () in
+      (* pad so the arena starts 32 bytes before the first chunk edge *)
+      let pad = chunk - 32 - (Kmem.kernel_base land (chunk - 1)) in
+      ignore (Kmem.alloc m ~align:1 ~tag:"pad" pad);
+      let objs = List.map (fun n -> (Kmem.alloc m ~align:1 ~tag:"o" n, n)) arena_objs in
+      let base = fst (List.hd objs) in
+      let live = Array.make (List.length objs) true in
+      let r = Bytes.make arena '\000' in
+      let store o n v =
+        for i = 0 to n - 1 do
+          Bytes.set r (o + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+        done
+      in
+      let load o n =
+        let rec go i acc =
+          if i < 0 then acc else go (i - 1) ((acc lsl 8) lor Char.code (Bytes.get r (o + i)))
+        in
+        go (n - 1) 0
+      in
+      let sext v n = (v lxor (1 lsl ((8 * n) - 1))) - (1 lsl ((8 * n) - 1)) in
+      let cstring o max =
+        let rec len i = if i < max && Bytes.get r (o + i) <> '\000' then len (i + 1) else i in
+        Bytes.sub_string r o (len 0)
+      in
+      let check what want got =
+        if want <> got then QCheck.Test.fail_reportf "%s: want %S, got %S" what want got
+      in
+      List.iter
+        (fun op ->
+          let a o = base + o in
+          match op with
+          | Store (n, o, v) ->
+              (match n with
+              | 1 -> Kmem.write_u8 m (a o) v
+              | 2 -> Kmem.write_u16 m (a o) v
+              | 4 -> Kmem.write_u32 m (a o) v
+              | _ -> Kmem.write_u64 m (a o) v);
+              store o n v
+          | Store_bytes (o, s) ->
+              Kmem.write_bytes m (a o) s;
+              Bytes.blit_string s 0 r o (String.length s)
+          | Store_cstring (o, field_size, s) ->
+              Kmem.write_cstring m (a o) ?field_size s;
+              let s =
+                match field_size with
+                | Some f when String.length s >= f -> String.sub s 0 (f - 1)
+                | _ -> s
+              in
+              Bytes.blit_string (s ^ "\000") 0 r o (String.length s + 1)
+          | Free i ->
+              if live.(i) then begin
+                live.(i) <- false;
+                let b, n = List.nth objs i in
+                Kmem.free m b;
+                Bytes.fill r (b - base) n '\x6b'
+              end
+          | Load (n, signed, o) ->
+              let got =
+                match (n, signed) with
+                | 1, false -> Kmem.read_u8 m (a o)
+                | 2, false -> Kmem.read_u16 m (a o)
+                | 4, false -> Kmem.read_u32 m (a o)
+                | 1, true -> Kmem.read_i8 m (a o)
+                | 2, true -> Kmem.read_i16 m (a o)
+                | 4, true -> Kmem.read_i32 m (a o)
+                | _ -> Kmem.read_u64 m (a o)
+              in
+              let want = if signed then sext (load o n) n else load o n in
+              check (show_op op) (string_of_int want) (string_of_int got)
+          | Load_bytes (o, n) ->
+              check (show_op op) (Bytes.sub_string r o n) (Kmem.read_bytes m (a o) n)
+          | Load_cstring (o, max) ->
+              check (show_op op) (cstring o max) (Kmem.read_cstring m ~max (a o)))
+        ops;
+      check "every byte" (Bytes.to_string r) (Kmem.read_bytes m base arena);
+      true)
 
 let suite =
   [ Alcotest.test_case "alloc zeroed" `Quick test_alloc_zeroed;
@@ -237,7 +446,12 @@ let suite =
     Alcotest.test_case "wild access flagged" `Quick test_wild_access_flagged;
     Alcotest.test_case "chunk boundary access" `Quick test_chunk_boundary;
     Alcotest.test_case "write log: per byte, then per page" `Quick test_written_since;
+    Alcotest.test_case "zero chunk and chunk cache" `Quick test_zero_chunk;
+    Alcotest.test_case "word access allocation gate" `Quick test_word_access_allocation;
+    Alcotest.test_case "boot + 200 workload steps allocation gate" `Quick
+      test_workload_allocation;
     QCheck_alcotest.to_alcotest prop_written_since_sound;
     QCheck_alcotest.to_alcotest prop_no_overlap;
     QCheck_alcotest.to_alcotest prop_write_read;
-    QCheck_alcotest.to_alcotest prop_u64_roundtrip ]
+    QCheck_alcotest.to_alcotest prop_u64_roundtrip;
+    QCheck_alcotest.to_alcotest prop_differential ]
