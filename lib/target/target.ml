@@ -559,8 +559,7 @@ let member t v fname =
           let raw = read_scalar t ~ctx:("." ^ fname) (base + f.Ctype.foffset) unit_sz false in
           { typ = f.Ctype.ftyp; loc = Rval ((raw lsr bit) land ((1 lsl width) - 1)) })
 
-let member_path t v path =
-  List.fold_left (member t) v (String.split_on_char '.' path)
+let member_path t v path = List.fold_left (member t) v path
 
 let index t v i =
   match v.typ with

@@ -110,8 +110,8 @@ val member : t -> value -> string -> value
     (an address cannot denote a bit range).  Raises [Invalid_argument]
     if [v] is not (a pointer to) a composite or has no such field. *)
 
-val member_path : t -> value -> string -> value
-(** [member_path t v "a.b.c"] folds {!member} over a dot-path. *)
+val member_path : t -> value -> string list -> value
+(** [member_path t v ["a"; "b"; "c"]] folds {!member} over a path. *)
 
 val index : t -> value -> int -> value
 (** Array subscript on an array lvalue or a pointer.  Out-of-bounds

@@ -23,14 +23,20 @@
     [XArray], [MapleEntries], [Range]) and the converter
     [Array.selectFrom(box, Def)] turn linked structures into ordered
     sequences. [switch ${e} { case ${v}: ... otherwise: ... }] handles
-    unions and polymorphic pointers; Text decorators (Table 1) control
-    formatting ([<u64:x>], [<string>], [<enum:t>], [<flag:id>], [<fptr>],
-    [<emoji:id>], ...).
+    unions and polymorphic pointers.  Text decorators (Table 1) control
+    formatting; they are exactly [<string>], [<bool>], [<char>],
+    [<raw_ptr>], [<fptr>], [<enum:T>] (T a registered enum),
+    [<flag:id>], [<emoji:id>] (id looked up in the run's {!config}),
+    and an integer kind [u8], [u16], [u32], [u64], [s8], [s16], [s32]
+    or [s64], optionally with a radix: [<u64:d>], [<u64:x>], [<u64:o>],
+    [<u64:b>].
 
     A name resolves where it is written: a definition sees [@this], its
     own [where] bindings and its [forEach] variables, never its
     caller's or the top level's; a top-level statement sees the
-    top-level bindings made before it. *)
+    top-level bindings made before it.  Definitions are visible to the
+    whole program, so they may come after their use and be mutually
+    recursive. *)
 
 module Ast = Ast
 module Dpool = Dpool
@@ -49,10 +55,18 @@ type config = Interp.config = {
 val default_config : config
 
 val parse : Ctype.registry -> string -> Ast.program
-(** Parse a program and each of its [${...}], whose casts name types of
-    the registry.  @raise Error on malformed input, at its line, and on
-    an unbound reference ([line N: unbound reference @name], N the line
-    of the [define] or top-level statement that reads it). *)
+(** Parse a program, each [${...}] with it, and resolve every name
+    against the program and the registry.  @raise Error on malformed
+    input, at its line, and with [line N: ...] (N the line of the
+    [define] or top-level statement) on: an unbound reference, or a
+    binding named [this]; a name defined twice or named like a
+    container; an unregistered C type; an unknown or cyclic parent
+    view; a call of no definition; a wrong argument count ([Array]
+    takes 1 or 2, [Range] 2, the rest 1); a method other than
+    [Array.selectFrom(e, Def)]; an anchor [T<ty.path>] whose [path] is
+    no embedded member of [ty]; a decorator outside the set above; a
+    Text path outside a definition, or no member path of its C type
+    (through structs and pointers to them). *)
 
 type cache = Interp.plot_cache
 (** The cross-run box memo behind incremental re-plots: the program it

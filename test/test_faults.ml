@@ -187,9 +187,9 @@ let no_raise_test =
       let ok =
         match
           match op with
-          | 0 -> ignore (Target.as_int tgt (Target.member_path tgt t "mm.mm_mt.ma_root"))
+          | 0 -> ignore (Target.as_int tgt (Target.member_path tgt t [ "mm"; "mm_mt"; "ma_root" ]))
           | 1 -> ignore (Target.as_string tgt (Target.member tgt t "comm"))
-          | 2 -> ignore (Target.as_int tgt (Target.member_path tgt t "parent.pid"))
+          | 2 -> ignore (Target.as_int tgt (Target.member_path tgt t [ "parent"; "pid" ]))
           | 3 ->
               let mm = Target.member tgt t "mm" in
               ignore (Target.truthy tgt (Target.member tgt mm "mm_mt"))

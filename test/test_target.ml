@@ -36,7 +36,7 @@ let test_member_path_flatten () =
   Kmem.write_u32 mem (b + off_iv) 55;
   let o = Target.obj (Ctype.Named "obj") a in
   (* flatten through the pointer: p.inner.v *)
-  Alcotest.(check int) "flattened" 55 (Target.as_int tgt (Target.member_path tgt o "p.inner.v"))
+  Alcotest.(check int) "flattened" 55 (Target.as_int tgt (Target.member_path tgt o [ "p"; "inner"; "v" ]))
 
 let test_index_array () =
   let tgt, mem, reg = mk () in
