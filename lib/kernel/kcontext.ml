@@ -58,7 +58,12 @@ let w64 ctx a comp path v = Kmem.write_u64 ctx.mem (a + off ctx comp path) v
 let wstr ctx a comp path ?field_size s =
   Kmem.write_cstring ctx.mem (a + off ctx comp path) ?field_size s
 
-let rstr ctx a comp path = Kmem.read_cstring ctx.mem (a + off ctx comp path)
+(* Bounded by the field's declared length: the bytes past a name are no
+   part of it, so they are neither read nor recorded as read. *)
+let rstr ctx a comp field =
+  match (Ctype.field ctx.reg comp field).Ctype.ftyp with
+  | Ctype.Array (_, n) -> Kmem.read_cstring ctx.mem ~max:n (a + off ctx comp field)
+  | t -> invalid_arg (Printf.sprintf "Kcontext.rstr: %s.%s is a %s" comp field (Ctype.to_string t))
 
 (* Address of an embedded member, e.g. the [children] list_head inside a
    task_struct. *)

@@ -53,7 +53,9 @@ val wstr : t -> addr -> string -> string -> ?field_size:int -> string -> unit
 (** Write a NUL-terminated string into a char-array field. *)
 
 val rstr : t -> addr -> string -> string -> string
-(** Read a NUL-terminated string from a char-array field. *)
+(** [rstr ctx a comp field] reads a NUL-terminated string from the
+    char-array [field] of the [comp] at [a], at most the array's length.
+    @raise Invalid_argument if [field] is not an array. *)
 
 val fld : t -> addr -> string -> string -> addr
 (** Address of an embedded member: [fld ctx task "task_struct" "children"]. *)

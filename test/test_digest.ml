@@ -49,9 +49,9 @@ let run_figs scenario =
   (Digest.to_hex (Digest.string (Buffer.contents buf)), errors, List.length journal, fired)
 
 let expected =
-  [ (Plain, "324f7e6af7718feba8703bcd09670927");
-    (Chaos, "049e22933dcc850407aca8748f347f4c");
-    (Inject, "81c0d864d8b3760f4aafd644e3e50d37") ]
+  [ (Plain, "a10fcf538096472301dd12496c0b42ab");
+    (Chaos, "cb9544fae13a08436d0031d086a0e0e4");
+    (Inject, "f564813804e15320da9100d768d7f93d") ]
 
 let test_scenario scenario () =
   let digest, errors, journal, fired = run_figs scenario in
