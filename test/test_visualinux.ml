@@ -236,6 +236,15 @@ let test_render_real_figure () =
 (* vplot's naive ViewCL synthesis (paper §4). *)
 let test_vplot_auto () =
   let _, _, s = session () in
+  (* every composite's synthesis parses: its bare field paths and
+     [<enum:T>] decorators name members and enums of the registry *)
+  let reg = Target.types s.Visualinux.target in
+  List.iter
+    (fun typ ->
+      match Viewcl.parse reg (Visualinux.synthesize_viewcl reg ~typ ~expr:"0") with
+      | _ -> ()
+      | exception Viewcl.Error m -> Alcotest.failf "synthesis for %s does not parse: %s" typ m)
+    (Ctype.composite_names reg);
   let vplot_auto ~typ ~expr =
     Visualinux.vplot s
       (Visualinux.synthesize_viewcl (Target.types s.Visualinux.target) ~typ ~expr)
